@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and no findings), 1 a conjecture-violation finding,
-2 usage or input error, 3 internal invariant breach.  The CAYLEYDEG_OUT_DIR
+2 usage or input error (for scan: also any instance that could not be
+checked, such as one over the subset budget, when nothing was found),
+3 internal invariant breach.  The CAYLEYDEG_OUT_DIR
 environment variable, when set, is the base directory for relative output
 paths.
 """
@@ -14,8 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import BudgetExceeded, InvariantBreach
 from .extremal import (
@@ -230,7 +230,9 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     )
     for err in summary.errors:
         print(f"instance error: {err}", file=sys.stderr)
-    return 1 if summary.weak_failures else 0
+    if summary.weak_failures:
+        return 1
+    return 2 if summary.errors else 0
 
 
 def cmd_counterexample(args, cfg: RunConfig) -> int:

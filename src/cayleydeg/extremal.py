@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -282,6 +282,8 @@ def heuristic_search(
     """
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
+    if budget < 1:
+        raise ValueError(f"evaluation budget must be at least 1, got {budget}")
     rng = random.Random(seed)
     adj = X.adj_masks
     n = X.n
@@ -440,12 +442,16 @@ def abelian_scan_items(
     max_order: int, min_order: int = 2, max_size: int | None = None
 ) -> list[tuple]:
     """Scan items for every symmetric generating set of every cyclic-product
-    group with order in range."""
+    group with order in range.
+
+    A Cayley item is ("cayley", G, elements) with G a FiniteGroup; a catalog
+    graph item is ("graph", name).
+    """
     items = []
     for moduli in iter_abelian_moduli(max_order, min_order):
         G = make_group(list(moduli))
         for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G.name, S.sorted_elements()))
+            items.append(("cayley", G, S.sorted_elements()))
     return items
 
 
@@ -454,7 +460,7 @@ def named_group_scan_items(names: Sequence[str], max_size: int | None = None) ->
     for name in names:
         G = make_group(name)
         for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G.name, S.sorted_elements()))
+            items.append(("cayley", G, S.sorted_elements()))
     return items
 
 
@@ -462,12 +468,27 @@ def graph_scan_items(names: Sequence[str]) -> list[tuple]:
     return [("graph", name) for name in names]
 
 
+def _item_label(item: tuple) -> str:
+    """The graph label a scan item gets in the CSV."""
+    if item[0] == "cayley":
+        _, G, elems = item
+        return f"{G.name}[{','.join(map(str, sorted(elems)))}]"
+    return str(item[1])
+
+
+def _item_graph(item: tuple) -> Graph:
+    """The graph of a scan item, built afresh."""
+    if item[0] == "cayley":
+        _, G, elems = item
+        return build_cayley(G, make_generating_set(G, elems)).graph
+    return builtin_graph(item[1])
+
+
 def _scan_row(item: tuple, budget: int) -> dict:
     kind = item[0]
     try:
         if kind == "cayley":
-            _, spec, elems = item
-            G = make_group(spec)
+            _, G, elems = item
             S = make_generating_set(G, elems)
             rep = verify_conjecture(G, S, budget=budget)
             return {
@@ -504,8 +525,8 @@ def _scan_row(item: tuple, budget: int) -> dict:
                 "witness": res.witness_subset,
             }
         raise ValueError(f"unknown scan item kind {kind!r}")
-    except Exception as exc:  # recorded per instance; the scan keeps going
-        return {"error": f"{item!r}: {exc}"}
+    except ValueError as exc:  # recorded per instance; the scan keeps going
+        return {"error": f"{_item_label(item)}: {exc}"}
 
 
 def _scan_worker(args: tuple) -> dict:
@@ -525,9 +546,10 @@ def scan(
     Returns (summary, csv_text).  Weak-bound failures are findings, not
     errors: they are counted, and each is re-verified with
     induced_max_degree and emitted as a standalone JSON document (written
-    under violations_dir when given).  Per-instance failures are recorded in
-    the summary and the scan continues.  Output is byte-identical for any
-    jobs count.
+    under violations_dir when given).  An instance that raises ValueError
+    (bad input, or BudgetExceeded) is recorded in the summary under its CSV
+    label and the scan continues; an InvariantBreach propagates.
+    Output is byte-identical for any jobs count.
     """
     rows = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
 
@@ -539,7 +561,7 @@ def scan(
     weak_failures = 0
     min_margin: int | None = None
     count = 0
-    for row in rows:
+    for item, row in zip(items, rows):
         if "error" in row:
             errors.append(row["error"])
             continue
@@ -564,7 +586,7 @@ def scan(
         )
         if not row["weak_ok"]:
             weak_failures += 1
-            violations.append(_violation_record(row))
+            violations.append(_violation_record(row, _item_graph(item)))
 
     csv_text = buf.getvalue()
     if out_csv is not None:
@@ -586,16 +608,10 @@ def scan(
     return summary, csv_text
 
 
-def _violation_record(row: dict) -> dict:
-    """Re-verify a weak-bound failure and package it as a standalone record."""
+def _violation_record(row: dict, X: Graph) -> dict:
+    """Re-verify a weak-bound failure on its graph X and package it as a
+    standalone record."""
     witness: VertexSet = row["witness"]
-    if row["graph"].endswith("]") and "[" in row["graph"]:
-        spec, inner = row["graph"][:-1].split("[", 1)
-        G = make_group(spec)
-        S = make_generating_set(G, [int(x) for x in inner.split(",")])
-        X = build_cayley(G, S).graph
-    else:
-        X = builtin_graph(row["graph"])
     deg, _ = induced_max_degree(X, witness)
     return {
         "graph": row["graph"],

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .groups import FiniteGroup, GeneratingSet
 
@@ -197,12 +199,12 @@ def build_cayley(G: FiniteGroup, S: GeneratingSet) -> CayleyGraph:
     result is an |S|-regular simple graph (connected exactly when S
     generates).
     """
-    edges = set()
-    for g in range(G.order):
-        for s in S.elements:
-            h = G.mul(s, g)
-            edges.add((g, h) if g < h else (h, g))
-    graph = Graph(G.order, sorted(edges))
+    rows = G.translations(S.sorted_elements())
+    g = np.broadcast_to(np.arange(G.order), rows.shape)
+    # s*g = h exactly when s^-1*h = g, so every edge shows up once from each
+    # end; keep it at its smaller end
+    up = g < rows
+    graph = Graph(G.order, zip(g[up].tolist(), rows[up].tolist()))
     return CayleyGraph(graph=graph, group=G, gens=S)
 
 

@@ -18,6 +18,8 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded
 
 __all__ = [
@@ -41,7 +43,12 @@ _ASSOC_SAMPLE_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on indices 0..order-1 with identity at index 0."""
+    """A finite group on indices 0..order-1 with identity at index 0.
+
+    Multiplication is exposed as left translations: translations(elems) has
+    row i equal to L_s with s = elems[i], where L_s[g] = s*g, and inverses[a]
+    is the inverse of a.  Every product in the package reads these arrays.
+    """
 
     kind: str  # "cyclic-product" or "table"
     order: int
@@ -57,76 +64,68 @@ class FiniteGroup:
         return range(self.order)
 
     @cached_property
-    def _place_values(self) -> tuple[int, ...]:
-        # place value of coordinate i is the product of all later moduli
-        pv = [1] * len(self.moduli)
-        for i in range(len(self.moduli) - 2, -1, -1):
-            pv[i] = pv[i + 1] * self.moduli[i + 1]
-        return tuple(pv)
+    def _coords(self) -> np.ndarray:
+        # residues of every element, one row per modulus (C order: the first
+        # modulus is the most significant digit)
+        return np.array(np.unravel_index(np.arange(self.order), self.moduli))
+
+    def translations(self, elems: Sequence[int]) -> np.ndarray:
+        """Left-translation rows: row i is L_s with s = elems[i], L_s[g] = s*g."""
+        elems = np.asarray(elems, dtype=np.intp).reshape(-1)
+        if self.kind == "cyclic-product":
+            c = self._coords
+            mods = np.array(self.moduli)[:, None, None]
+            sums = (c[:, elems, None] + c[:, None, :]) % mods
+            return np.ravel_multi_index(tuple(sums), self.moduli)
+        return np.array([self.table[s] for s in elems.tolist()], dtype=np.intp).reshape(
+            elems.size, self.order
+        )
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """inverses[a] is the inverse of a."""
+        if self.kind == "cyclic-product":
+            mods = np.array(self.moduli)[:, None]
+            return np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
+        return np.array([row.index(0) for row in self.table], dtype=np.intp)
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Residue tuple of a cyclic-product element."""
-        if self.kind != "cyclic-product":
+        if not self.moduli:
             raise ValueError("decode is only defined for cyclic-product groups")
-        return tuple((a // p) % m for m, p in zip(self.moduli, self._place_values))
+        return tuple(self._coords[:, a].tolist())
 
     def encode(self, residues: Sequence[int]) -> int:
         """Index of the element with the given residue tuple."""
-        if self.kind != "cyclic-product":
+        if not self.moduli:
             raise ValueError("encode is only defined for cyclic-product groups")
         if len(residues) != len(self.moduli):
             raise ValueError(
                 f"expected {len(self.moduli)} residues, got {len(residues)}"
             )
-        idx = 0
-        for r, m, p in zip(residues, self.moduli, self._place_values):
+        for r, m in zip(residues, self.moduli):
             if not 0 <= r < m:
                 raise ValueError(f"residue {r} out of range for modulus {m}")
-            idx += r * p
-        return idx
+        return int(np.ravel_multi_index(tuple(residues), self.moduli))
 
     def mul(self, a: int, b: int) -> int:
-        if self.kind == "cyclic-product":
-            idx = 0
-            for m, p in zip(self.moduli, self._place_values):
-                idx += (((a // p) % m + (b // p) % m) % m) * p
-            return idx
-        return self.table[a][b]
-
-    @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            row = self.table[a]
-            for b in range(self.order):
-                if row[b] == 0:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+        return int(self.translations([a])[0, b])
 
     def inv(self, a: int) -> int:
-        if self.kind == "cyclic-product":
-            idx = 0
-            for m, p in zip(self.moduli, self._place_values):
-                idx += ((m - (a // p) % m) % m) * p
-            return idx
-        return self._inverses[a]
+        return int(self.inverses[a])
 
     def render(self, a: int) -> str:
         """Human-readable element: residue tuple for cyclic products."""
-        if self.kind == "cyclic-product":
+        if self.moduli:
             return "(" + ",".join(str(r) for r in self.decode(a)) + ")"
         return str(a)
 
     @cached_property
     def is_abelian(self) -> bool:
-        if self.kind == "cyclic-product":
+        if not self.table:  # a cyclic product
             return True
-        for a in range(self.order):
-            for b in range(a + 1, self.order):
-                if self.table[a][b] != self.table[b][a]:
-                    return False
-        return True
+        t = np.array(self.table, dtype=np.intp)
+        return bool((t == t.T).all())
 
 
 def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -331,18 +330,15 @@ def _named_group(family: str, n: int) -> FiniteGroup:
 
 
 def element_order(G: FiniteGroup, a: int) -> int:
-    """Multiplicative order of element a."""
+    """Multiplicative order of element a: the length of the cycle of L_a
+    through the identity."""
     if not 0 <= a < G.order:
         raise ValueError(f"element {a} out of range for group of order {G.order}")
-    if G.kind == "cyclic-product":
-        o = 1
-        for m, r in zip(G.moduli, G.decode(a)):
-            o = math.lcm(o, m // math.gcd(m, r))
-        return o
+    row = G.translations([a])[0].tolist()
     o = 1
     x = a
     while x != 0:
-        x = G.mul(a, x)
+        x = row[x]
         o += 1
     return o
 
@@ -375,20 +371,18 @@ class GeneratingSet:
         return self.order2 + tuple(p[0] for p in self.pairs)
 
 
-def _closure(G: FiniteGroup, elems: Iterable[int]) -> set[int]:
-    gens = list(elems)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = G.mul(s, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+def _generates(rows: np.ndarray) -> bool:
+    """Whether the elements with these translation rows generate the group:
+    a breadth-first search from the identity along the rows."""
+    seen = np.zeros(rows.shape[1], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[rows[:, frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def make_generating_set(
@@ -403,34 +397,30 @@ def make_generating_set(
             raise ValueError(f"element {x} out of range for group of order {G.order}")
     if 0 in elements:
         raise ValueError("generating set contains the identity")
+    inv = G.inverses.tolist()
     for x in elements:
-        if G.inv(x) not in elements:
+        if inv[x] not in elements:
             raise ValueError(
-                f"set is not symmetric: inverse of {x} is {G.inv(x)}, which is missing"
+                f"set is not symmetric: inverse of {x} is {inv[x]}, which is missing"
             )
 
-    order2 = []
-    pairs = []
-    seen: set[int] = set()
-    for x in sorted(elements):
-        if x in seen:
-            continue
-        y = G.inv(x)
-        if y == x:
-            order2.append(x)
-            seen.add(x)
-        else:
-            pairs.append((x, y))
-            seen.add(x)
-            seen.add(y)
-
-    generates = len(_closure(G, elements)) == G.order
+    members = sorted(elements)
+    generates = _generates(G.translations(members))
     if not generates and not allow_nongenerating:
         raise ValueError("set does not generate the group (pass allow_nongenerating to accept)")
+    return _split(
+        elements,
+        [x for x in members if inv[x] == x],
+        [(x, inv[x]) for x in members if x < inv[x]],
+        generates,
+    )
 
+
+def _split(elements, order2, pairs, generates: bool) -> GeneratingSet:
+    """A GeneratingSet from its involutions and inverse pairs, both in order."""
     t = len(order2)
     return GeneratingSet(
-        elements=elements,
+        elements=frozenset(elements),
         order2=tuple(order2),
         pairs=tuple(pairs),
         d=t + len(pairs),
@@ -442,7 +432,7 @@ def make_generating_set(
 def enumerate_symmetric_generating_sets(
     G: FiniteGroup,
     max_size: int | None = None,
-    cap: int = 32,
+    cap: int = 24,
 ) -> Iterator[GeneratingSet]:
     """Yield every symmetric generating set of G with at most max_size elements.
 
@@ -450,29 +440,30 @@ def enumerate_symmetric_generating_sets(
     inverse pairs, so enumeration walks subsets of that unit structure.  Units
     are ordered involutions first (ascending), then pairs (by smaller member),
     and subsets are visited in increasing binary-counter order over that unit
-    list, which makes the output order deterministic.
+    list, which makes the output order deterministic.  The walk visits
+    2^u - 1 subsets for u units; more than cap units raise BudgetExceeded
+    before any subset is visited.
     """
-    if G.order > cap:
-        raise BudgetExceeded(
-            f"group order {G.order} exceeds the enumeration cap {cap}"
-        )
-    invs = [x for x in range(1, G.order) if G.inv(x) == x]
-    pair_reps = [
-        x for x in range(1, G.order) if G.inv(x) != x and x < G.inv(x)
-    ]
-    units: list[tuple[int, ...]] = [(x,) for x in invs]
-    units += [(x, G.inv(x)) for x in pair_reps]
+    inv = G.inverses.tolist()
+    units: list[tuple[int, ...]] = [(x,) for x in range(1, G.order) if inv[x] == x]
+    units += [(x, inv[x]) for x in range(1, G.order) if x < inv[x]]
     u = len(units)
+    if u > cap:
+        raise BudgetExceeded(
+            f"{G.name} has {u} involutions and inverse pairs; walking their "
+            f"2^{u} - 1 subsets exceeds the enumeration cap of {cap} units"
+        )
+    rows = G.translations(range(G.order))
     limit = max_size if max_size is not None else G.order
 
     for mask in range(1, 1 << u):
-        members: list[int] = []
+        chosen: list[tuple[int, ...]] = []
         total = 0
         m = mask
         i = 0
         while m:
             if m & 1:
-                members.extend(units[i])
+                chosen.append(units[i])
                 total += len(units[i])
                 if total > limit:
                     break
@@ -480,6 +471,12 @@ def enumerate_symmetric_generating_sets(
             i += 1
         if total > limit:
             continue
-        if len(_closure(G, members)) != G.order:
+        members = [x for unit in chosen for x in unit]
+        if not _generates(rows[members]):
             continue
-        yield make_generating_set(G, members)
+        yield _split(
+            members,
+            [unit[0] for unit in chosen if len(unit) == 1],
+            [unit for unit in chosen if len(unit) == 2],
+            True,
+        )

@@ -31,7 +31,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
     ind = _membership_array(moduli, U)
     acc = ind.astype(np.int64).reshape(moduli)
     for axis in range(len(moduli)):
-        acc = acc + np.roll(acc, -1, axis=axis)
+        acc += np.roll(acc, -1, axis=axis)
     return acc.reshape(-1)
 
 
@@ -261,22 +261,6 @@ class LinearLift:
         return self.m**self.d
 
 
-def _residue_matrix(G: FiniteGroup, idx: np.ndarray) -> list[np.ndarray]:
-    pv = G._place_values
-    return [(idx // p) % m for m, p in zip(G.moduli, pv)]
-
-
-def _index_add_outer(G: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Group sums a[i] + b[j] for cyclic-product G, flattened row-major."""
-    pv = G._place_values
-    total = np.zeros((a.size, b.size), dtype=np.int64)
-    for m, p in zip(G.moduli, pv):
-        ra = (a // p) % m
-        rb = (b // p) % m
-        total += ((ra[:, None] + rb[None, :]) % m) * p
-    return total.reshape(-1)
-
-
 def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> LinearLift:
     """Build the lift of a generating set of a cyclic-product group.
 
@@ -297,15 +281,15 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
         )
     images = S.images()
 
-    values = np.zeros(1, dtype=np.int64)
-    for s in images:
-        s_res = G.decode(s)
-        pv = G._place_values
-        mult = np.zeros(m, dtype=np.int64)
-        j = np.arange(m, dtype=np.int64)
-        for r, mod, p in zip(s_res, G.moduli, pv):
-            mult += ((j * r) % mod) * p
-        values = _index_add_outer(G, values, mult)
+    # appending coordinate i as the least significant digit: column j of the
+    # new table is L_s applied j times to the old one, for s = images[i]
+    values = np.zeros(1, dtype=np.intp)
+    for row in G.translations(images):
+        grown = np.empty((values.size, m), dtype=np.intp)
+        grown[:, 0] = values
+        for j in range(1, m):
+            grown[:, j] = row[grown[:, j - 1]]
+        values = grown.reshape(-1)
 
     fibers = np.bincount(values, minlength=G.order)
     expected = size // G.order
@@ -316,14 +300,6 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
     return LinearLift(
         group=G, m=m, d=d, images=images, values=values, fiber_size=expected
     )
-
-
-def _index_add_single(moduli: Sequence[int], pv: Sequence[int], a: int, coord: int, delta: int) -> int:
-    m = moduli[coord]
-    p = pv[coord]
-    old = (a // p) % m
-    new = (old + delta) % m
-    return a + (new - old) * p
 
 
 def abelian_witness(
@@ -357,26 +333,21 @@ def abelian_witness(
     inner = cube_witness([m] * d, pre)
     h = inner.vertex
 
-    cube_moduli = [m] * d
-    pv = [1] * d
-    for i in range(d - 2, -1, -1):
-        pv[i] = pv[i + 1] * cube_moduli[i + 1]
-
     signs = []
     lifted_neighbors = []
     for i, _ in inner.trace["signs"]:
-        h_plus = _index_add_single(cube_moduli, pv, h, i, 1)
-        if pre[h_plus]:
-            signs.append((i, 1))
-            lifted_neighbors.append(h_plus)
+        place = m ** (d - 1 - i)  # coordinate i of Z_m^d, coordinate 0 most significant
+        digit = (h // place) % m
+        for sign in (1, -1):
+            h_next = h + ((digit + sign) % m - digit) * place
+            if pre[h_next]:
+                signs.append((i, sign))
+                lifted_neighbors.append(h_next)
+                break
         else:
-            h_minus = _index_add_single(cube_moduli, pv, h, i, -1)
-            if not pre[h_minus]:
-                raise InvariantBreach(
-                    f"neither lifted neighbor along direction {i} is in the preimage"
-                )
-            signs.append((i, -1))
-            lifted_neighbors.append(h_minus)
+            raise InvariantBreach(
+                f"neither lifted neighbor along direction {i} is in the preimage"
+            )
 
     u = int(lift.values[h])
     neighbors = [int(lift.values[hn]) for hn in lifted_neighbors]
@@ -385,7 +356,8 @@ def abelian_witness(
     checks = {}
     checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
     in_u = u in U and all(v in U for v in neighbors)
-    adjacency = all(G.mul(v, G.inv(u)) in S.elements for v in neighbors)
+    # the Cayley neighbors of u are s*u for s in S
+    adjacency = set(neighbors) <= set(G.translations(S.sorted_elements())[:, u].tolist())
     checks["adjacency"] = bool(adjacency and in_u)
     checks["bound"] = k * k >= d
     if not all(checks.values()):

@@ -180,3 +180,32 @@ def test_jobs_flag_accepted(tmp_path):
     assert main(["--jobs", "1", "scan", "--groups", "q8", "--out", str(a)]) == 0
     assert main(["--jobs", "4", "scan", "--groups", "q8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_exits_2_when_every_instance_is_over_budget(capsys):
+    rc = main(["scan", "--groups", "q8", "--budget", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scanned 0 instance(s)" in err
+    assert "instance error: q8[" in err and "exceed the budget 1" in err
+
+
+def test_scan_exits_3_on_an_invariant_breach(monkeypatch, capsys):
+    import cayleydeg.extremal as extremal
+    from cayleydeg.errors import InvariantBreach
+
+    def breach(*args, **kwargs):
+        raise InvariantBreach("simulated breach")
+
+    monkeypatch.setattr(extremal, "verify_conjecture", breach)
+    assert main(["scan", "--groups", "s3"]) == 3
+    assert "internal invariant breach: simulated breach" in capsys.readouterr().err
+
+
+def test_scan_finding_outranks_instance_errors(tmp_path, capsys):
+    # Petersen is a finding (exit 1) even when another instance errors
+    rc = main(["scan", "--graph", "petersen", "--groups", "d8", "--max-set-size", "3",
+               "--budget", "300", "--out", str(tmp_path / "out.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "weak-bound failures: 1" in err and "instance error: dihedral:8[" in err

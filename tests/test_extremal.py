@@ -255,6 +255,9 @@ def test_named_group_scan_enumerates_all_sets():
     expected = sum(1 for _ in enumerate_symmetric_generating_sets(G))
     items = named_group_scan_items(["q8"])
     assert len(items) == expected
+    # items carry the group object itself, not its name
+    assert all(kind == "cayley" and H is items[0][1] for kind, H, _ in items)
+    assert items[0][1].name == "q8"
 
 
 def test_oracle_agreement_suite_runs():
@@ -262,3 +265,46 @@ def test_oracle_agreement_suite_runs():
     assert len(lines) == 6
     assert lines == oracle_agreement_suite(count=6, seed=0, jobs=2)
     assert all(line.startswith("g=") and " f=" in line for line in lines)
+
+
+def test_heuristic_rejects_a_budget_below_one():
+    X = builtin_graph("cycle:6")
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            heuristic_search(X, 4, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            min_max_degree(X, 4, method="heuristic", budget=budget)
+
+
+def _weakened(verify):
+    """verify_conjecture with every report turned into a weak-bound failure."""
+    import dataclasses
+
+    def fake(G, S, budget=10**8):
+        rep = verify(G, S, budget=budget)
+        return dataclasses.replace(rep, weak_ok=False, margin=-1)
+
+    return fake
+
+
+def test_scan_violation_in_a_table_group_is_reverified(tmp_path, monkeypatch):
+    import json
+
+    import cayleydeg.extremal as extremal
+
+    G = make_group({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})  # Z3, name "table"
+    monkeypatch.setattr(extremal, "verify_conjecture", _weakened(extremal.verify_conjecture))
+    summary, csv_text = scan([("cayley", G, (1, 2))], violations_dir=tmp_path, jobs=1)
+    assert summary.weak_failures == 1 and summary.errors == []
+    record = json.loads((tmp_path / "violation_0000.json").read_text())
+    assert record["graph"] == "table[1,2]"
+    assert record["reverified"] is True
+    assert record["reverified_degree"] == record["f"] == 1
+
+
+def test_scan_errors_name_the_csv_label():
+    G = make_group("q8")
+    summary, _ = scan([("cayley", G, (1, 2)), ("graph", "cycle:2")], jobs=1)
+    assert summary.instances == 0
+    assert summary.errors[0].startswith("q8[1,2]: set is not symmetric")
+    assert summary.errors[1].startswith("cycle:2: ")

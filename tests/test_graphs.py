@@ -222,3 +222,33 @@ def test_import_errors():
         import_graph("graph { 0 -- ; }", "dot")
     with pytest.raises(ValueError):
         export_graph(Graph(1, []), "xml")
+
+
+def _scalar_mul(G, a, b):
+    """Reference product: the table entry, or mixed-radix digit sums."""
+    if G.table:
+        return G.table[a][b]
+    out, place = 0, 1
+    for m in reversed(G.moduli):
+        out += (((a // place) % m + (b // place) % m) % m) * place
+        place *= m
+    return out
+
+
+def test_build_cayley_matches_scalar_edge_loop():
+    rng = random.Random(77)
+    for spec in ["z12", "z4x2x2", "z3x3", "z2x2x2x2", "d5", "q8", "s4", "a4", "d1"]:
+        G = make_group(spec)
+        for _ in range(4):
+            elems = set()
+            for _ in range(rng.randint(1, 3)):
+                g = rng.randrange(1, G.order)
+                elems |= {g, G.inv(g)}
+            S = make_generating_set(G, elems, allow_nongenerating=True)
+            expected = set()
+            for g in range(G.order):
+                for s in S.elements:
+                    h = _scalar_mul(G, s, g)
+                    expected.add((min(g, h), max(g, h)))
+            X = build_cayley(G, S).graph
+            assert X.edges() == sorted(expected), (spec, sorted(elems))

@@ -260,3 +260,83 @@ def test_render_and_elements():
 def test_group_order_cap():
     with pytest.raises(ValueError, match="maximum"):
         make_group("z20000")
+
+
+# reference arithmetic for the translation arrays: scalar mixed-radix
+# formulas over the C-order layout (first modulus most significant)
+
+
+def _place_values(moduli):
+    pv = [1] * len(moduli)
+    for i in range(len(moduli) - 2, -1, -1):
+        pv[i] = pv[i + 1] * moduli[i + 1]
+    return pv
+
+
+def _radix_mul(moduli, a, b):
+    return sum(
+        (((a // p) % m + (b // p) % m) % m) * p
+        for m, p in zip(moduli, _place_values(moduli))
+    )
+
+
+def _radix_inv(moduli, a):
+    return sum(
+        ((m - (a // p) % m) % m) * p for m, p in zip(moduli, _place_values(moduli))
+    )
+
+
+CYCLIC_PRODUCTS = [[2], [7], [4, 2], [2, 4], [3, 3, 2], [6, 4], [2, 2, 2, 2], [5, 3, 2]]
+BUILTIN_TABLE_GROUPS = (
+    [f"dihedral:{n}" for n in range(1, 9)]
+    + [f"sym:{n}" for n in range(1, 6)]
+    + [f"alt:{n}" for n in range(1, 6)]
+    + ["q8"]
+)
+
+
+@pytest.mark.parametrize("moduli", CYCLIC_PRODUCTS)
+def test_translations_match_mixed_radix_arithmetic(moduli):
+    G = make_group(moduli)
+    n = G.order
+    rows = G.translations(range(n))
+    assert rows.shape == (n, n)
+    for a in range(n):
+        assert G.inv(a) == _radix_inv(moduli, a)
+        assert int(G.inverses[a]) == _radix_inv(moduli, a)
+        for b in range(n):
+            assert int(rows[a, b]) == _radix_mul(moduli, a, b)
+            assert G.mul(a, b) == _radix_mul(moduli, a, b)
+        assert G.decode(a) == tuple((a // p) % m for m, p in zip(moduli, _place_values(moduli)))
+        assert G.encode(G.decode(a)) == a
+
+
+@pytest.mark.parametrize("spec", BUILTIN_TABLE_GROUPS)
+def test_translations_match_builtin_tables(spec):
+    G = make_group(spec)
+    n = G.order
+    rows = G.translations(range(n))
+    assert rows.tolist() == [list(row) for row in G.table]
+    for a in range(n):
+        assert G.table[a][G.inv(a)] == 0
+        for b in range(n):
+            assert G.mul(a, b) == G.table[a][b]
+
+
+def test_translations_of_a_subset_keep_the_given_order():
+    G = make_group([4, 3])
+    rows = G.translations([5, 0, 11])
+    assert rows.shape == (3, 12)
+    assert rows[1].tolist() == list(range(12))
+    assert rows[0].tolist() == [_radix_mul([4, 3], 5, g) for g in range(12)]
+    assert G.translations([]).shape == (0, 12)
+
+
+def test_enumeration_cap_bounds_the_walk_not_the_order():
+    # Z2^5 has 31 involutions: a walk of 2^31 - 1 subsets is refused at once
+    with pytest.raises(BudgetExceeded, match="31"):
+        next(enumerate_symmetric_generating_sets(make_group([2, 2, 2, 2, 2])))
+    # order 48 is past the old order cap, but Z48 has 1 involution and 23
+    # inverse pairs, within the default cap of 24 units
+    first = next(enumerate_symmetric_generating_sets(make_group([48]), max_size=2))
+    assert first.elements == frozenset({1, 47})

@@ -217,3 +217,46 @@ def test_random_witness_suite_deterministic():
 def test_random_witness_suite_validates_count():
     with pytest.raises(ValueError):
         random_witness_suite(count=0)
+
+
+def _outer_sum_lift(G, images, m):
+    """Reference lift: digit-wise sums over the mixed-radix layout, one
+    outer sum per direction (coordinate 0 most significant)."""
+    pv = [1] * len(G.moduli)
+    for i in range(len(G.moduli) - 2, -1, -1):
+        pv[i] = pv[i + 1] * G.moduli[i + 1]
+
+    def outer(a, b):
+        total = np.zeros((a.size, b.size), dtype=np.int64)
+        for mod, p in zip(G.moduli, pv):
+            total += ((((a // p) % mod)[:, None] + ((b // p) % mod)[None, :]) % mod) * p
+        return total.reshape(-1)
+
+    values = np.zeros(1, dtype=np.int64)
+    j = np.arange(m, dtype=np.int64)
+    for s in images:
+        mult = np.zeros(m, dtype=np.int64)
+        for r, mod, p in zip(G.decode(s), G.moduli, pv):
+            mult += ((j * r) % mod) * p
+        values = outer(values, mult)
+    return values
+
+
+def test_make_lift_matches_outer_sum_reference():
+    rng = random.Random(5150)
+    for _ in range(60):
+        moduli = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+        G = make_group(moduli)
+        elems = set()
+        for i in range(len(moduli)):
+            g = G.encode([1 if j == i else 0 for j in range(len(moduli))])
+            elems |= {g, G.inv(g)}
+        for _ in range(rng.randint(0, 2)):
+            g = rng.randrange(1, G.order)
+            elems |= {g, G.inv(g)}
+        S = make_generating_set(G, elems)
+        m = math.lcm(*moduli)
+        if m**S.d > 1 << 16:
+            continue
+        lift = make_lift(G, S)
+        assert np.array_equal(lift.values, _outer_sum_lift(G, S.images(), m)), moduli
