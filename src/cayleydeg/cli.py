@@ -277,7 +277,7 @@ def cmd_signing(args, cfg: RunConfig) -> int:
 
     if args.signing_cmd == "spectrum":
         M = signing_from_json(Path(args.infile).read_text())
-        spec = spectrum(M, tol=args.tol)
+        spec = spectrum(M)
         text = spectrum_to_csv(spec)
         _write_or_print(_resolve_out(cfg, args.out), text)
         print(f"min modulus: {spec.min_modulus:.12g}", file=sys.stderr)
@@ -370,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gs = gsub.add_parser("spectrum", help="eigenvalues of a signing")
     gs.add_argument("--in", dest="infile", required=True)
-    gs.add_argument("--tol", type=float, default=1e-9)
     gs.add_argument("--out", default=None)
 
     gr = gsub.add_parser("search", help="search signings for large smallest eigenvalue modulus")

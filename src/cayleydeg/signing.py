@@ -7,11 +7,13 @@ integer arithmetic, which forces every eigenvalue to have modulus sqrt(c).
 For the n-dimensional hypercube such a signing exists and is built by the
 block recursion B_1 = [[0,1],[1,0]], B_k = [[B_{k-1}, I], [I, -B_{k-1}]].
 
-Eigenvalue routines follow cyclic Jacobi reference semantics: convergence
-when the off-diagonal Frobenius norm drops below tol * n, and any
-implementation must agree with that reference within 10 * tol.  The
-production path uses LAPACK through numpy; jacobi_eigenvalues is the
-reference itself.
+verify_signing walks adjacency lists: each length-2 walk u-v-w adds
+M[u,v] M[v,w] to entry (u, w) of M M, so the check costs O(n deg^2) integer
+operations after one scan for the nonzeros.
+
+Eigenvalues come from LAPACK through numpy (eigvalsh).  jacobi_eigenvalues
+is an independent cyclic Jacobi solver; the tests use it as the oracle that
+LAPACK's eigenvalues are compared against.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ HUANG_DIMENSION_CAP = 12
 SPECTRUM_SIZE_CAP = 2048
 SEARCH_SIZE_CAP = 512
 EXHAUSTIVE_EDGE_CAP = 20
+_WALK_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,13 @@ class SignedAdjacency:
             raise ValueError(f"signed adjacency must be square, got shape {m.shape}")
         if not np.issubdtype(m.dtype, np.integer):
             raise ValueError("signed adjacency entries must be integers")
-        if not np.isin(m, (-1, 0, 1)).all():
+        if not ((m >= -1) & (m <= 1)).all():
             raise ValueError("signed adjacency entries must be in {-1, 0, 1}")
         if (m != m.T).any():
             raise ValueError("signed adjacency must be symmetric")
         if np.diagonal(m).any():
             raise ValueError("signed adjacency must have zero diagonal")
-        out = m.astype(np.int8).copy()
+        out = m.astype(np.int8, copy=True)
         out.setflags(write=False)
         object.__setattr__(self, "matrix", out)
 
@@ -83,13 +86,10 @@ class SignedAdjacency:
         return self.matrix.shape[0]
 
     def edges_with_signs(self) -> list[tuple[int, int, int]]:
-        m = self.matrix
-        out = []
-        for u in range(self.size):
-            for v in range(u + 1, self.size):
-                if m[u, v]:
-                    out.append((u, v, int(m[u, v])))
-        return out
+        """``(u, v, sign)`` for every edge, u < v, in lexicographic order."""
+        us, vs = np.nonzero(np.triu(self.matrix, 1))
+        signs = self.matrix[us, vs]
+        return list(zip(us.tolist(), vs.tolist(), signs.tolist()))
 
     def support(self) -> Graph:
         return Graph(
@@ -121,16 +121,51 @@ def huang_signing(n: int, cap: int = HUANG_DIMENSION_CAP) -> SignedAdjacency:
 
 
 def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
-    """Exact integer check that M M = c I.  No floating point is involved."""
+    """Exact integer check that M M = c I.  No floating point is involved.
+
+    Entry (u, w) of M M is the sum of M[u,v] M[v,w] over the length-2 walks
+    u-v-w, so only the nonzeros are visited and no n x n product is formed.
+    """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     if not np.issubdtype(mat.dtype, np.integer):
         raise ValueError("verify_signing requires an integer matrix")
-    w = mat.astype(np.int64)
-    prod = w @ w
-    n = w.shape[0]
-    want = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(want, c)
-    return bool((prod == want).all())
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"verify_signing requires a square matrix, got shape {mat.shape}")
+    n = mat.shape[0]
+    rows, cols = np.nonzero(mat)  # row-major, so grouped by row
+    vals = mat[rows, cols].astype(np.int64)
+    deg = np.bincount(rows, minlength=n)
+    row_start = np.cumsum(deg) - deg
+    fanout = deg[cols]  # walks that start with each entry
+    entry_at_row = np.append(row_start, rows.size)
+    walks_at_row = np.append(0, np.cumsum(fanout))[entry_at_row]
+    diag = np.zeros(n, dtype=np.int64)
+    # Rows of M M are independent, so they are checked in blocks of whole
+    # rows with at most _WALK_BLOCK walks (or one row, if it has more).  A
+    # row has at most n^2 walks, so memory is O(max(_WALK_BLOCK, n^2)) even
+    # for dense input, which has n^3 walks.
+    r = 0
+    while r < n:
+        end = np.searchsorted(walks_at_row, walks_at_row[r] + _WALK_BLOCK, side="right")
+        r_next = max(r + 1, int(end) - 1)
+        lo, hi = entry_at_row[r], entry_at_row[r_next]
+        r = r_next
+        # walk j pairs entry first[j] = (u, v) with entry second[j] = (v, w)
+        f = fanout[lo:hi]
+        first = np.repeat(np.arange(lo, hi), f)
+        walk_start = np.cumsum(f) - f
+        second = np.arange(first.size) + np.repeat(row_start[cols[lo:hi]] - walk_start, f)
+        keys = rows[first] * n + cols[second]
+        terms = vals[first] * vals[second]
+        order = np.argsort(keys)
+        keys, terms = keys[order], terms[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, sums = keys[starts], np.add.reduceat(terms, starts)
+        on_diag = keys // n == keys % n
+        if sums[~on_diag].any():
+            return False
+        diag[keys[on_diag] // n] = sums[on_diag]
+    return bool((diag == c).all())
 
 
 @dataclass(frozen=True)
@@ -145,8 +180,8 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def spectrum(M: SignedAdjacency | np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of a signed adjacency matrix.
+def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
+    """Eigenvalues of a signed adjacency matrix, from LAPACK (eigvalsh).
 
     Sizes up to SPECTRUM_SIZE_CAP are supported.  Raises RuntimeError if the
     eigensolver fails to converge.
@@ -170,9 +205,9 @@ def jacobi_eigenvalues(
 ) -> np.ndarray:
     """Cyclic Jacobi eigenvalues of a symmetric matrix, ascending.
 
-    This is the reference implementation behind spectrum(): full sweeps of
-    Givens rotations over the upper triangle until the off-diagonal
-    Frobenius norm drops below tol * n.
+    An independent check on spectrum(): full sweeps of Givens rotations over
+    the upper triangle until the off-diagonal Frobenius norm drops below
+    tol * n.
     """
     a = np.asarray(A, dtype=np.float64).copy()
     n = a.shape[0]
@@ -220,8 +255,8 @@ class SearchResult:
     method: str
 
 
-def _signing_from_bits(X: Graph, edges: list[tuple[int, int]], bits: int) -> np.ndarray:
-    m = np.zeros((X.n, X.n), dtype=np.int8)
+def _signing_from_bits(n: int, edges: list[tuple[int, int]], bits: int) -> np.ndarray:
+    m = np.zeros((n, n), dtype=np.int8)
     for i, (u, v) in enumerate(edges):
         s = -1 if (bits >> i) & 1 else 1
         m[u, v] = s
@@ -229,27 +264,37 @@ def _signing_from_bits(X: Graph, edges: list[tuple[int, int]], bits: int) -> np.
     return m
 
 
-def _min_modulus(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(mat.astype(np.float64))
+def _flip(m: np.ndarray, edge: tuple[int, int]) -> None:
+    u, v = edge
+    m[u, v] = m[v, u] = -m[u, v]
+
+
+def _min_modulus(m: np.ndarray) -> float:
+    vals = np.linalg.eigvalsh(m)
     return float(np.abs(vals).min())
 
 
 def _climb_worker(args: tuple) -> tuple[float, int, int]:
-    """One hill-climb restart; returns (min_modulus, bits, evaluations)."""
-    edges_raw, n, seed, restart, budget = args
-    edges = [tuple(e) for e in edges_raw]
+    """One hill-climb restart; returns (min_modulus, bits, evaluations).
+
+    Each candidate flips one edge of a single float64 matrix in place and
+    flips it back after its evaluation.
+    """
+    edges, n, seed, restart, budget = args
     rng = random.Random(f"{seed}:{restart}")
-    X = Graph(n, edges)
     bits = rng.getrandbits(len(edges))
-    cur = _min_modulus(_signing_from_bits(X, edges, bits))
+    m = _signing_from_bits(n, edges, bits).astype(np.float64)
+    cur = _min_modulus(m)
     evals = 1
     improved = True
     while improved and evals < budget:
         improved = False
         best_flip = -1
         best_val = cur
-        for i in range(len(edges)):
-            cand = _min_modulus(_signing_from_bits(X, edges, bits ^ (1 << i)))
+        for i, edge in enumerate(edges):
+            _flip(m, edge)
+            cand = _min_modulus(m)
+            _flip(m, edge)
             evals += 1
             if cand > best_val:
                 best_val = cand
@@ -258,6 +303,7 @@ def _climb_worker(args: tuple) -> tuple[float, int, int]:
                 break
         if best_flip >= 0:
             bits ^= 1 << best_flip
+            _flip(m, edges[best_flip])
             cur = best_val
             improved = True
     return cur, bits, evals
@@ -293,14 +339,19 @@ def signing_search(
             raise BudgetExceeded(
                 f"{ne} edges exceed the exhaustive cap {EXHAUSTIVE_EDGE_CAP}"
             )
+        # bits runs in increasing order; going from bits - 1 to bits flips
+        # the lowest set bit of bits and every bit below it
+        m = _signing_from_bits(X.n, edges, 0).astype(np.float64)
         best_bits = 0
         best_val = -1.0
         for bits in range(1 << ne):
-            val = _min_modulus(_signing_from_bits(X, edges, bits))
+            for i in range((bits & -bits).bit_length()):
+                _flip(m, edges[i])
+            val = _min_modulus(m)
             if val > best_val:
                 best_val = val
                 best_bits = bits
-        mat = _signing_from_bits(X, edges, best_bits)
+        mat = _signing_from_bits(X.n, edges, best_bits)
         return SearchResult(
             _check_signed(mat, "search"), best_val, 1 << ne, "exhaustive"
         )
@@ -313,7 +364,7 @@ def signing_search(
         total += evals
         if val > best_val or (val == best_val and bits < best_bits):
             best_val, best_bits = val, bits
-    mat = _signing_from_bits(X, edges, best_bits)
+    mat = _signing_from_bits(X.n, edges, best_bits)
     return SearchResult(_check_signed(mat, "search"), best_val, total, "hill-climb")
 
 

@@ -145,6 +145,19 @@ def test_signing_file_round_trip(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_signing_spectrum_has_no_tol_flag(tmp_path, capsys):
+    path = tmp_path / "b2.json"
+    assert main(["signing", "huang", "--n", "2", "--out", str(path)]) == 0
+    assert main(["signing", "spectrum", "--in", str(path), "--tol", "1e-3"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_signing_huang_verify_at_the_dimension_cap(capsys):
+    assert main(["signing", "huang", "--n", "12", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "M^2 = 12I: OK" in out and "24576 signed edges" in out
+
+
 def test_signing_search_exhaustive(capsys):
     rc = main(["signing", "search", "--graph", "q2", "--exhaustive"])
     assert rc == 0

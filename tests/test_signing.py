@@ -3,15 +3,19 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cayleydeg.graphs import build_cayley, builtin_graph
+from cayleydeg import signing
+from cayleydeg.graphs import Graph, build_cayley, builtin_graph
 from cayleydeg.groups import make_generating_set, make_group
 from cayleydeg.signing import (
     EXHAUSTIVE_EDGE_CAP,
+    HUANG_DIMENSION_CAP,
     SignedAdjacency,
+    _climb_worker,
     huang_signing,
     jacobi_eigenvalues,
     signing_from_json,
@@ -157,10 +161,11 @@ def test_hill_climb_finds_q3_optimum():
 def test_hill_climb_deterministic_across_jobs():
     X = _hypercube(3)
     a = signing_search(X, seed=7, budget=200, restarts=4, jobs=1)
-    b = signing_search(X, seed=7, budget=200, restarts=4, jobs=4)
-    assert a.min_modulus == b.min_modulus
-    assert a.signing.matrix.tolist() == b.signing.matrix.tolist()
-    assert a.evaluations == b.evaluations
+    for jobs in (2, 4):
+        b = signing_search(X, seed=7, budget=200, restarts=4, jobs=jobs)
+        assert a.min_modulus == b.min_modulus
+        assert a.signing.matrix.tolist() == b.signing.matrix.tolist()
+        assert a.evaluations == b.evaluations
 
 
 def test_hill_climb_respects_support():
@@ -194,3 +199,241 @@ def test_spectrum_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "index,eigenvalue"
     assert lines[1].startswith("0,-1") and lines[2].startswith("1,1")
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the dense product check, the scalar edge loop
+# and the search that rebuilds its matrix for every evaluation
+
+
+def _dense_verify(mat, c):
+    w = np.asarray(mat).astype(np.int64)
+    prod = w @ w
+    want = np.zeros_like(prod)
+    np.fill_diagonal(want, c)
+    return bool((prod == want).all())
+
+
+def _scalar_edges(M):
+    m = M.matrix
+    return [(u, v, int(m[u, v]))
+            for u in range(M.size) for v in range(u + 1, M.size) if m[u, v]]
+
+
+def _rebuilt_signing(n, edges, bits):
+    m = np.zeros((n, n), dtype=np.int8)
+    for i, (u, v) in enumerate(edges):
+        s = -1 if (bits >> i) & 1 else 1
+        m[u, v] = m[v, u] = s
+    return m
+
+
+def _rebuilt_modulus(n, edges, bits):
+    vals = np.linalg.eigvalsh(_rebuilt_signing(n, edges, bits).astype(np.float64))
+    return float(np.abs(vals).min())
+
+
+def _rebuilt_climb(edges, n, seed, restart, budget):
+    rng = random.Random(f"{seed}:{restart}")
+    bits = rng.getrandbits(len(edges))
+    cur = _rebuilt_modulus(n, edges, bits)
+    evals = 1
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        best_flip, best_val = -1, cur
+        for i in range(len(edges)):
+            cand = _rebuilt_modulus(n, edges, bits ^ (1 << i))
+            evals += 1
+            if cand > best_val:
+                best_val, best_flip = cand, i
+            if evals >= budget:
+                break
+        if best_flip >= 0:
+            bits ^= 1 << best_flip
+            cur = best_val
+            improved = True
+    return cur, bits, evals
+
+
+def _rebuilt_exhaustive(n, edges):
+    best_bits, best_val = 0, -1.0
+    for bits in range(1 << len(edges)):
+        val = _rebuilt_modulus(n, edges, bits)
+        if val > best_val:
+            best_val, best_bits = val, bits
+    return best_val, _rebuilt_signing(n, edges, best_bits)
+
+
+def _random_graph(rng, n, p):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def _random_signing(rng, n, p):
+    m = np.zeros((n, n), dtype=np.int8)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                m[u, v] = m[v, u] = rng.choice((-1, 1))
+    return SignedAdjacency(m)
+
+
+def _random_integer_matrices(rng):
+    """Symmetric and general integer matrices, with and without M M = c I."""
+    out = [np.zeros((0, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int8),
+           np.array([[3]], dtype=np.int16), np.zeros((5, 5), dtype=np.int32)]
+    hadamard = np.array([[1]])
+    for _ in range(4):  # Sylvester's H_16: dense, symmetric, H H = 16 I
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        out.append(hadamard)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        a = np.zeros((n, n), dtype=np.int64)
+        for u in range(n):
+            for v in range(u, n):
+                if rng.random() < 0.4:
+                    a[u, v] = a[v, u] = rng.randint(-3, 3)
+        r = rng.randrange(n)
+        a[r, :] = a[:, r] = 0  # an empty row and column
+        out.append(a)
+        general = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        out.append(np.array(general).astype(rng.choice((np.int8, np.int64, np.uint8))))
+        # a * (a fixed-point-free involution) squares to a^2 I
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        p = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        for i in range(0, 2 * n, 2):
+            p[perm[i], perm[i + 1]] = p[perm[i + 1], perm[i]] = 1
+        out.append(rng.choice((-2, 1, 3)) * p)
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, signing._WALK_BLOCK])
+def test_verify_signing_matches_dense_product(block, monkeypatch):
+    # small blocks split rows of M M across many blocks, and single rows
+    # with more walks than the block make blocks of their own
+    monkeypatch.setattr(signing, "_WALK_BLOCK", block)
+    rng = random.Random(2024)
+    trues = 0
+    for mat in _random_integer_matrices(rng):
+        n = mat.shape[0]
+        square = mat.astype(np.int64) @ mat.astype(np.int64)
+        corner = int(square[0, 0]) if n else 0
+        for c in {0, 1, corner, corner + 1}:
+            want = _dense_verify(mat, c)
+            assert verify_signing(mat, c) == want, (mat.tolist(), c)
+            trues += want
+    assert trues > 60  # the involutions, Hadamard and zero matrices hold
+    for n in range(1, 7):
+        M = huang_signing(n)
+        flipped = M.matrix.copy()
+        flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+        for c in (n - 1, n, n + 1):
+            assert verify_signing(M, c) == _dense_verify(M.matrix, c)
+            assert verify_signing(flipped, c) == _dense_verify(flipped, c)
+
+
+def test_verify_signing_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        verify_signing(np.zeros((2, 3), dtype=np.int8), 0)
+    with pytest.raises(ValueError):
+        verify_signing(np.zeros(4, dtype=np.int8), 0)
+    with pytest.raises(ValueError):
+        verify_signing(np.eye(2), 1)
+    with pytest.raises(ValueError):
+        verify_signing(np.eye(2, dtype=bool), 1)
+
+
+def test_verify_signing_builds_no_dense_product():
+    M = huang_signing(HUANG_DIMENSION_CAP)
+    n = M.size
+    tracemalloc.start()
+    try:
+        assert verify_signing(M, HUANG_DIMENSION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.int64).itemsize
+
+
+def test_verify_signing_memory_is_bounded_on_dense_input(monkeypatch):
+    # Sylvester's H_128 has 128^3 = 2M walks; one row has 16K of them
+    monkeypatch.setattr(signing, "_WALK_BLOCK", 1 << 12)
+    h = np.array([[1]], dtype=np.int8)
+    for _ in range(7):
+        h = np.block([[h, h], [h, -h]])
+    tracemalloc.start()
+    try:
+        assert verify_signing(h, 128)
+        assert not verify_signing(h, 127)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 ** 3 * np.dtype(np.int64).itemsize // 4
+
+
+def test_verify_signing_at_the_dimension_cap():
+    M = huang_signing(HUANG_DIMENSION_CAP)
+    assert verify_signing(M, HUANG_DIMENSION_CAP)
+    flipped = M.matrix.copy()
+    u, v = 5, 5 ^ 8
+    flipped[u, v] = flipped[v, u] = -flipped[u, v]
+    assert not verify_signing(flipped, HUANG_DIMENSION_CAP)
+
+
+def test_edges_with_signs_matches_scalar_loop():
+    for n in range(1, 9):
+        M = huang_signing(n)
+        assert M.edges_with_signs() == _scalar_edges(M)
+    rng = random.Random(77)
+    for trial in range(20):
+        M = _random_signing(rng, rng.randint(0, 12), rng.random())
+        got = M.edges_with_signs()
+        assert got == _scalar_edges(M)
+        assert all(type(x) is int for e in got for x in e)
+
+
+def test_signed_matrix_validation_keeps_range_and_type_checks():
+    bad_range = [np.array([[0, 2], [2, 0]], dtype=np.int64),
+                 np.array([[0, -128], [-128, 0]], dtype=np.int8),
+                 np.array([[0, 255], [255, 0]], dtype=np.uint8),
+                 np.array([[0, -2], [-2, 0]], dtype=np.int32)]
+    for m in bad_range:
+        with pytest.raises(ValueError, match=r"must be in \{-1, 0, 1\}"):
+            SignedAdjacency(m)
+    for m in (np.array([[False, True], [True, False]]),
+              np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="must be integers"):
+            SignedAdjacency(m)
+    src = np.array([[0, -1], [-1, 0]], dtype=np.int64)
+    M = SignedAdjacency(src)
+    src[0, 1] = src[1, 0] = 1
+    assert M.matrix.dtype == np.int8 and not M.matrix.flags.writeable
+    assert M.matrix.tolist() == [[0, -1], [-1, 0]]
+
+
+def test_climb_matches_rebuilding_reference():
+    rng = random.Random(31)
+    graphs = [_hypercube(k) for k in (2, 3, 4)]
+    graphs += [_random_graph(rng, rng.randint(3, 10), 0.5) for _ in range(4)]
+    for X in graphs:
+        edges = tuple(X.edges())
+        ne = len(edges)
+        for budget in (1, 2, ne // 2 + 1, ne + 3, 2 * ne + 5, 400):
+            for restart in range(2):
+                args = (edges, X.n, 9, restart, budget)
+                assert _climb_worker(args) == _rebuilt_climb(*args), (X.n, edges, budget)
+
+
+def test_exhaustive_search_matches_rebuilding_reference():
+    rng = random.Random(8)
+    graphs = [_hypercube(2), builtin_graph("cycle:5"), _random_graph(rng, 7, 0.35)]
+    for X in graphs:
+        edges = X.edges()
+        assert 0 < len(edges) <= 12
+        val, mat = _rebuilt_exhaustive(X.n, edges)
+        res = signing_search(X, exhaustive=True)
+        assert res.min_modulus == val
+        assert res.evaluations == 1 << len(edges)
+        assert res.signing.matrix.tolist() == mat.tolist()
