@@ -39,7 +39,6 @@ from .signing import (
     SignedAdjacency,
     Spectrum,
     huang_signing,
-    jacobi_eigenvalues,
     signing_search,
     spectrum,
     verify_signing,

@@ -13,6 +13,10 @@ complete branch-and-bound decision procedure, and a seeded swap heuristic
 that yields an upper bound only.  For Cayley graphs the exhaustive scan can
 be restricted to subsets containing vertex 0, since right translation is a
 graph automorphism carrying any subset to one through 0.
+
+The exhaustive scan unranks the subsets in lexicographic chunks of 64-bit
+mask words and counts induced degrees with np.bitwise_count, so its memory
+is bounded by the chunk size, not by C(n, s), for any n.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -60,45 +63,101 @@ __all__ = [
 
 DEFAULT_SUBSET_BUDGET = 10**8
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_INT64_MAX = (1 << 63) - 1
+
+# Bytes of the largest temporary the exhaustive engine makes: one uint64 per
+# (vertex, subset) of a chunk.  A cached chunk of m subsets keeps
+# m * (8 * words + n) bytes, at most _CHUNK_BYTES / 4 for n >= 8 (smaller n
+# have at most 35 subsets), so the 64 cached chunks stay under 16 MiB.
+_CHUNK_BYTES = 1 << 20
 
 
-def _popcount32(a: np.ndarray) -> np.ndarray:
-    return (_POP16[a & 0xFFFF] + _POP16[(a >> 16) & 0xFFFF]).astype(np.int32)
+@lru_cache(maxsize=64)
+def _rank_table(pool: int, k: int) -> np.ndarray:
+    """table[p, j] = C(pool-1-p, k-1-j): the ranks of k-subsets of 0..pool-1
+    that take p as member j+1 once their first j members lie below p.
 
-
-@lru_cache(maxsize=32)
-def _subset_masks(n: int, s: int, fix_zero: bool) -> np.ndarray:
-    """All s-subsets of 0..n-1 as uint32 masks, in lexicographic order.
-
-    With fix_zero, only subsets containing vertex 0.  Lexicographic order of
-    the sorted member tuples means the first minimizer found is the
-    lexicographically least one.
+    The entries clipped to _INT64_MAX belong to no rank below
+    C(pool, k) <= _INT64_MAX, so the clip never changes an unranked subset.
     """
-    if fix_zero:
-        combos = combinations(range(1, n), s - 1)
-        base = 1
-    else:
-        combos = combinations(range(n), s)
-        base = 0
-    out = np.fromiter(
-        (base | sum(1 << v for v in c) for c in combos),
-        dtype=np.uint32,
-        count=math.comb(n - 1, s - 1) if fix_zero else math.comb(n, s),
-    )
-    out.setflags(write=False)
-    return out
+    table = np.array(
+        [
+            [min(math.comb(pool - 1 - p, k - 1 - j), _INT64_MAX) if j < k else 0
+             for j in range(k + 1)]
+            for p in range(pool)
+        ],
+        dtype=np.int64,
+    ).reshape(pool, k + 1)
+    table.setflags(write=False)
+    return table
 
 
-def _eval_subsets(X: Graph, subs: np.ndarray) -> np.ndarray:
-    """Max induced degree for each subset mask (n <= 32)."""
-    best = np.full(len(subs), -1, dtype=np.int32)
-    adj = X.adj_masks
-    for v in range(X.n):
-        deg = _popcount32(subs & np.uint32(adj[v]))
-        in_u = ((subs >> np.uint32(v)) & 1).astype(bool)
-        np.maximum(best, np.where(in_u, deg, -1), out=best)
-    return best
+@lru_cache(maxsize=64)
+def _subset_chunk(
+    n: int, s: int, fix_zero: bool, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The s-subsets of 0..n-1 of lexicographic ranks start..stop-1.
+
+    With fix_zero, only subsets containing vertex 0 are ranked.  Returns
+    (words, member): words[w, i] is bits 64w..64w+63 of subset i's mask and
+    member[v, i] is 1 when vertex v is in subset i, both read-only.
+
+    Ranks are unranked in one pass per vertex: among the ranks left at a
+    vertex, those that take it (counted by _rank_table) come before those
+    that skip it, which is the order of itertools.combinations.
+    """
+    lo = 1 if fix_zero else 0
+    table = _rank_table(n - lo, s - lo)
+    rank = np.arange(start, stop, dtype=np.int64)
+    taken = np.zeros(rank.size, dtype=np.intp)
+    member = np.zeros((n, rank.size), dtype=np.uint8)
+    member[:lo] = 1
+    ahead = np.empty(rank.size, dtype=np.int64)
+    for v in range(lo, n):
+        np.take(table[v - lo], taken, out=ahead, mode="clip")
+        take = np.less(rank, ahead, out=member[v].view(np.bool_))
+        np.copyto(ahead, 0, where=take)
+        rank -= ahead
+        taken += take
+    # vertex v is bit v % 8 of byte v // 8 of the little-endian mask words
+    packed = np.zeros((rank.size, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(member, axis=0, bitorder="little").T
+    words = np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
+    words.setflags(write=False)
+    member.setflags(write=False)
+    return words, member
+
+
+def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
+    """Least max induced degree over s-subsets, and the lex-least minimizer.
+
+    Chunks of subsets in lexicographic order are scored with one popcount
+    per (vertex, mask word): the degree of v in U is |adj(v) & U|, counted
+    only for members v.  A strict < across chunks keeps the first minimizer.
+    """
+    n = X.n
+    total = math.comb(n - 1, s - 1) if fix_zero else math.comb(n, s)
+    nwords = (n + 63) // 64
+    adj = np.array(
+        [[(a >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)] for a in X.adj_masks],
+        dtype=np.uint64,
+    ).reshape(n, nwords)
+    dtype = np.min_scalar_type(n)  # holds every induced degree (< n)
+    step = max(1, _CHUNK_BYTES // (8 * n * nwords))
+    best = n  # above every induced degree
+    best_mask = 0
+    for start in range(0, total, step):
+        words, member = _subset_chunk(n, s, fix_zero, start, min(start + step, total))
+        deg = np.bitwise_count(words[0] & adj[:, 0, None]).astype(dtype, copy=False)
+        for w in range(1, nwords):
+            deg += np.bitwise_count(words[w] & adj[:, w, None])
+        deg *= member
+        top = deg.max(axis=0)
+        i = int(top.argmin())
+        if top[i] < best:
+            best = int(top[i])
+            best_mask = sum(int(words[w, i]) << (64 * w) for w in range(nwords))
+    return best, VertexSet(n, best_mask)
 
 
 @dataclass(frozen=True)
@@ -125,9 +184,9 @@ def min_max_degree(
     """Minimize induced max degree over subsets of size exactly s.
 
     The exhaustive method is exact and returns the lexicographically least
-    witness; it refuses to start if C(n, s) exceeds budget.  branch-and-bound
-    is exact via iterative deepening over the decision procedure.  heuristic
-    returns an upper bound only.
+    witness; it refuses to start if C(n, s) exceeds budget or int64.
+    branch-and-bound is exact via iterative deepening over the decision
+    procedure.  heuristic returns an upper bound only.
     """
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
@@ -136,6 +195,11 @@ def min_max_degree(
         if total > budget:
             raise BudgetExceeded(
                 f"C({X.n},{s}) = {total} subsets exceed the budget {budget}; "
+                "try the branch-and-bound or heuristic method"
+            )
+        if total > _INT64_MAX:
+            raise BudgetExceeded(
+                f"C({X.n},{s}) = {total} subsets do not fit in int64 ranks; "
                 "try the branch-and-bound or heuristic method"
             )
         f, witness = _exhaustive(X, s, contains_zero)
@@ -153,38 +217,6 @@ def min_max_degree(
     if method == "heuristic":
         return heuristic_search(X, s, seed=seed, budget=min(budget, 10**5), label=label)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
-    if X.n <= 32:
-        subs = _subset_masks(X.n, s, fix_zero)
-        vals = _eval_subsets(X, subs)
-        f = int(vals.min())
-        first = int(np.argmax(vals == f))
-        return f, VertexSet(X.n, int(subs[first]))
-    # wide graphs: straight lexicographic iteration over Python int masks
-    best = None
-    best_mask = 0
-    combos = (
-        ((0,) + c for c in combinations(range(1, X.n), s - 1))
-        if fix_zero
-        else combinations(range(X.n), s)
-    )
-    adj = X.adj_masks
-    for c in combos:
-        mask = 0
-        for v in c:
-            mask |= 1 << v
-        top = 0
-        for v in c:
-            dv = (adj[v] & mask).bit_count()
-            if dv > top:
-                top = dv
-        if best is None or top < best:
-            best = top
-            best_mask = mask
-    assert best is not None
-    return best, VertexSet(X.n, best_mask)
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,7 @@ class VertexSet:
         return self.mask.bit_count()
 
     def members(self) -> list[int]:
-        m = self.mask
-        out = []
-        v = 0
-        while m:
-            if m & 1:
-                out.append(v)
-            m >>= 1
-            v += 1
-        return out
+        return _bit_indices(self.mask)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
@@ -104,6 +96,16 @@ class VertexSet:
         return f"VertexSet({self.n}, {{{','.join(map(str, self.members()))}}})"
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _as_vertex_set(n: int, U) -> VertexSet:
     if isinstance(U, VertexSet):
         if U.n != n:
@@ -120,27 +122,22 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
         masks = [0] * n
+        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            if masks[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+            count += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_masks", tuple(masks))
-        object.__setattr__(
-            self,
-            "adjacency",
-            tuple(tuple(VertexSet(n, m).members()) for m in masks),
-        )
-        object.__setattr__(self, "edge_count", len(seen))
+        object.__setattr__(self, "adjacency", tuple(tuple(_bit_indices(m)) for m in masks))
+        object.__setattr__(self, "edge_count", count)
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")

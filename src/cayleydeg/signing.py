@@ -11,9 +11,8 @@ verify_signing walks adjacency lists: each length-2 walk u-v-w adds
 M[u,v] M[v,w] to entry (u, w) of M M, so the check costs O(n deg^2) integer
 operations after one scan for the nonzeros.
 
-Eigenvalues come from LAPACK through numpy (eigvalsh).  jacobi_eigenvalues
-is an independent cyclic Jacobi solver; the tests use it as the oracle that
-LAPACK's eigenvalues are compared against.
+Eigenvalues come from LAPACK through numpy (eigvalsh).  The tests compare
+them against an independent cyclic Jacobi solver kept in the test suite.
 """
 
 from __future__ import annotations
@@ -38,19 +37,16 @@ __all__ = [
     "huang_signing",
     "verify_signing",
     "spectrum",
-    "jacobi_eigenvalues",
     "signing_search",
     "signing_to_json",
     "signing_from_json",
     "spectrum_to_csv",
-    "DEFAULT_TOL",
     "HUANG_DIMENSION_CAP",
     "SPECTRUM_SIZE_CAP",
     "SEARCH_SIZE_CAP",
     "EXHAUSTIVE_EDGE_CAP",
 ]
 
-DEFAULT_TOL = 1e-9
 HUANG_DIMENSION_CAP = 12
 SPECTRUM_SIZE_CAP = 2048
 SEARCH_SIZE_CAP = 512
@@ -198,49 +194,6 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     vals = np.sort(vals)
     return Spectrum(eigenvalues=vals, min_modulus=float(np.abs(vals).min()))
-
-
-def jacobi_eigenvalues(
-    A: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = 100
-) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues of a symmetric matrix, ascending.
-
-    An independent check on spectrum(): full sweeps of Givens rotations over
-    the upper triangle until the off-diagonal Frobenius norm drops below
-    tol * n.
-    """
-    a = np.asarray(A, dtype=np.float64).copy()
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if (a != a.T).any():
-        raise ValueError("jacobi_eigenvalues requires a symmetric matrix")
-    threshold = tol * n
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off < threshold:
-            diag = np.sort(np.diagonal(a).copy())
-            return diag
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    raise RuntimeError(f"jacobi sweep limit {max_sweeps} reached without convergence")
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,11 @@ def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
     at a time.
     """
     moduli = _check_moduli(moduli)
-    ind = _membership_array(moduli, U)
+    return _cover_counts(moduli, _membership_array(moduli, U))
+
+
+def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
+    """cover_counts for validated moduli and a flat int8 membership array."""
     acc = ind.astype(np.int64).reshape(moduli)
     for axis in range(len(moduli)):
         acc += np.roll(acc, -1, axis=axis)
@@ -107,15 +111,19 @@ def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
     sum_r |U_r n U| = 2^d |U| forces the maximum above the average.
     """
     moduli = _check_moduli(moduli)
-    n = math.prod(moduli)
+    return _cover_shift(moduli, _membership_array(moduli, U))
+
+
+def _cover_shift(moduli: tuple[int, ...], ind: np.ndarray) -> tuple[int, int]:
+    """cover_shift for validated moduli and a flat int8 membership array."""
+    n = ind.size
     d = len(moduli)
-    ind = _membership_array(moduli, U)
     size = int(ind.sum())
     if 2 * size <= n:
         raise ValueError(
             f"subset has {size} of {n} vertices; a strict majority is required"
         )
-    counts = cover_counts(moduli, ind)
+    counts = _cover_counts(moduli, ind)
     r = int(np.argmax(counts))  # argmax returns the first, i.e. smallest, index
     best = int(counts[r])
     if not best > (1 << (d - 1)):
@@ -177,7 +185,7 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     moduli = _check_moduli(moduli)
     d = len(moduli)
     ind = _membership_array(moduli, U)
-    r, cube_points = cover_shift(moduli, ind)
+    r, cube_points = _cover_shift(moduli, ind)
 
     # group index of r + e_T for each subset-mask T (bit i of the mask is
     # coordinate i); built by doubling so no 2^d x d table is materialized

@@ -1,10 +1,14 @@
 """Tests for exact subset-degree minimization and the bound-checking scan."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import cayleydeg.extremal as extremal
 from cayleydeg.errors import BudgetExceeded
 from cayleydeg.extremal import (
     abelian_scan_items,
@@ -308,3 +312,122 @@ def test_scan_errors_name_the_csv_label():
     assert summary.instances == 0
     assert summary.errors[0].startswith("q8[1,2]: set is not symmetric")
     assert summary.errors[1].startswith("cycle:2: ")
+
+
+# ---------------------------------------------------------------------------
+# reference exhaustive engines: the uint32 mask array scored with a 16-bit
+# popcount table (n <= 32), and lexicographic iteration over Python int masks
+
+
+_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+
+
+def _table_reference(X, s, fix_zero):
+    """(f, witness mask) from every s-subset as a uint32 mask, in lex order."""
+    assert X.n <= 32
+    if fix_zero:
+        combos, base = itertools.combinations(range(1, X.n), s - 1), 1
+    else:
+        combos, base = itertools.combinations(range(X.n), s), 0
+    subs = np.fromiter((base | sum(1 << v for v in c) for c in combos), dtype=np.uint32)
+    best = np.full(len(subs), -1, dtype=np.int32)
+    for v in range(X.n):
+        hit = subs & np.uint32(X.adj_masks[v])
+        deg = (_POP16[hit & 0xFFFF] + _POP16[(hit >> 16) & 0xFFFF]).astype(np.int32)
+        in_u = ((subs >> np.uint32(v)) & 1).astype(bool)
+        np.maximum(best, np.where(in_u, deg, -1), out=best)
+    f = int(best.min())
+    return f, int(subs[int(np.argmax(best == f))])
+
+
+def _loop_reference(X, s, fix_zero):
+    """(f, witness mask) by a Python loop over the s-subsets in lex order."""
+    combos = (
+        ((0,) + c for c in itertools.combinations(range(1, X.n), s - 1))
+        if fix_zero
+        else itertools.combinations(range(X.n), s)
+    )
+    best, best_mask = None, 0
+    for c in combos:
+        mask = sum(1 << v for v in c)
+        top = max((X.adj_masks[v] & mask).bit_count() for v in c)
+        if best is None or top < best:
+            best, best_mask = top, mask
+    return best, best_mask
+
+
+def _random_graph(rng, n):
+    p = rng.uniform(0.1, 0.7)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _engine(X, s, fix_zero):
+    res = min_max_degree(X, s, contains_zero=fix_zero)
+    return res.f_value, res.witness_subset.mask
+
+
+def test_exhaustive_matches_table_reference():
+    rng = random.Random(515)
+    for n in range(1, 21):
+        X = _random_graph(rng, n)
+        for s in range(1, n + 1):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _table_reference(X, s, fix_zero), (n, s)
+
+
+def test_exhaustive_matches_loop_reference_on_wide_graphs():
+    # n > 64 needs two 64-bit words per mask
+    rng = random.Random(616)
+    for n, s_max in [(n, 4) for n in range(33, 41)] + [(n, 3) for n in range(65, 71)]:
+        X = _random_graph(rng, n)
+        for s in range(1, s_max + 1):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _loop_reference(X, s, fix_zero), (n, s)
+
+
+@pytest.mark.parametrize("length", [1, 7, 64])
+def test_lex_least_witness_survives_chunk_boundaries(monkeypatch, length):
+    rng = random.Random(length)
+    graphs = [Graph(7, []), builtin_graph("cycle:9"), builtin_graph("petersen")]
+    graphs += [_random_graph(rng, n) for n in (8, 10, 11)]
+    for X in graphs:
+        # chunks of exactly `length` subsets: one 8-byte word per vertex each
+        monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * 8 * X.n)
+        for s in range(1, X.n + 1):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _table_reference(X, s, fix_zero)
+    X = _random_graph(rng, 66)
+    monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * 8 * 2 * X.n)
+    for s in (1, 2):
+        for fix_zero in (False, True):
+            assert _engine(X, s, fix_zero) == _loop_reference(X, s, fix_zero)
+
+
+def test_exhaustive_memory_is_bounded_by_the_chunk(monkeypatch):
+    rng = random.Random(24)
+    X = _random_graph(rng, 24)
+    expect = _engine(X, 13, True)
+    full_array = math.comb(23, 12) * 8  # every mask as one uint64
+    monkeypatch.setattr(extremal, "_CHUNK_BYTES", 1 << 16)
+    extremal._subset_chunk.cache_clear()
+    tracemalloc.start()
+    try:
+        got = _engine(X, 13, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        extremal._subset_chunk.cache_clear()
+    assert got == expect
+    assert peak < full_array / 8, (peak, full_array)
+
+
+def test_exhaustive_refuses_totals_past_int64(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("subsets were enumerated")
+
+    monkeypatch.setattr(extremal, "_subset_chunk", no_work)
+    X = Graph(70, [])
+    assert math.comb(69, 34) > 2**63 - 1
+    for fix_zero in (False, True):
+        with pytest.raises(BudgetExceeded, match="int64"):
+            min_max_degree(X, 35, budget=10**30, contains_zero=fix_zero)

@@ -252,3 +252,52 @@ def test_build_cayley_matches_scalar_edge_loop():
                     expected.add((min(g, h), max(g, h)))
             X = build_cayley(G, S).graph
             assert X.edges() == sorted(expected), (spec, sorted(elems))
+
+
+def _reference_graph(n, edges):
+    """(adj_masks, adjacency, edge_count) built with a set of edge tuples and
+    a per-bit scan, or the ValueError message the input must raise."""
+    seen = set()
+    masks = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) has an endpoint outside 0..{n - 1}"
+        if u == v:
+            return f"loop at vertex {u} is not allowed"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge ({key[0]},{key[1]})"
+        seen.add(key)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    adjacency = tuple(tuple(v for v in range(n) if m >> v & 1) for m in masks)
+    return tuple(masks), adjacency, len(seen)
+
+
+def test_graph_constructor_matches_set_reference():
+    rng = random.Random(88)
+    for trial in range(300):
+        n = rng.randint(1, 80)
+        edges = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.3
+        ]
+        rng.shuffle(edges)
+        if trial % 3 == 1 and edges:  # a repeated edge, in either orientation
+            u, v = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice([(u, v), (v, u)]))
+        elif trial % 3 == 2:  # a loop or an endpoint out of range
+            bad = rng.choice([(n - 1, n - 1), (0, n), (-1, 0)])
+            edges.insert(rng.randrange(len(edges) + 1), bad)
+        expect = _reference_graph(n, edges)
+        if isinstance(expect, str):
+            with pytest.raises(ValueError) as err:
+                Graph(n, edges)
+            assert str(err.value) == expect
+        else:
+            X = Graph(n, edges)
+            assert (X.adj_masks, X.adjacency, X.edge_count) == expect
+            for m in X.adj_masks:
+                assert VertexSet(n, m).members() == [v for v in range(n) if m >> v & 1]

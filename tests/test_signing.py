@@ -17,7 +17,6 @@ from cayleydeg.signing import (
     SignedAdjacency,
     _climb_worker,
     huang_signing,
-    jacobi_eigenvalues,
     signing_from_json,
     signing_search,
     signing_to_json,
@@ -109,6 +108,49 @@ def test_signed_matrix_validation():
         SignedAdjacency(np.array([[0, 1], [-1, 0]], dtype=np.int8))  # asymmetric
     with pytest.raises(ValueError):
         SignedAdjacency(np.zeros((2, 3), dtype=np.int8))
+
+
+def jacobi_eigenvalues(
+    A: np.ndarray, tol: float = 1e-9, max_sweeps: int = 100
+) -> np.ndarray:
+    """Cyclic Jacobi eigenvalues of a symmetric matrix, ascending.
+
+    The oracle for spectrum()'s LAPACK eigenvalues: full sweeps of Givens
+    rotations over the upper triangle until the off-diagonal Frobenius norm
+    drops below tol * n.
+    """
+    a = np.asarray(A, dtype=np.float64).copy()
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    if (a != a.T).any():
+        raise ValueError("jacobi_eigenvalues requires a symmetric matrix")
+    threshold = tol * n
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
+        if off < threshold:
+            diag = np.sort(np.diagonal(a).copy())
+            return diag
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+    raise RuntimeError(f"jacobi sweep limit {max_sweeps} reached without convergence")
 
 
 def test_jacobi_matches_lapack():

@@ -260,3 +260,40 @@ def test_make_lift_matches_outer_sum_reference():
             continue
         lift = make_lift(G, S)
         assert np.array_equal(lift.values, _outer_sum_lift(G, S.images(), m)), moduli
+
+
+def test_certificate_validates_and_converts_its_input_once(monkeypatch):
+    import cayleydeg.witness as witness
+
+    calls = {"moduli": 0, "membership": 0}
+    check, convert = witness._check_moduli, witness._membership_array
+
+    def counted_check(moduli):
+        calls["moduli"] += 1
+        return check(moduli)
+
+    def counted_convert(moduli, U):
+        calls["membership"] += 1
+        return convert(moduli, U)
+
+    monkeypatch.setattr(witness, "_check_moduli", counted_check)
+    monkeypatch.setattr(witness, "_membership_array", counted_convert)
+    for fn in (cover_counts, cover_shift, cube_witness):
+        calls.update(moduli=0, membership=0)
+        fn([3, 3], [0, 1, 3, 4, 8])
+        assert calls == {"moduli": 1, "membership": 1}, fn.__name__
+
+
+def test_certificate_input_errors_are_unchanged():
+    for fn in (cover_counts, cover_shift, cube_witness):
+        with pytest.raises(ValueError, match="modulus 1 is invalid"):
+            fn([3, 1], [0, 1])
+        with pytest.raises(ValueError, match="need at least one modulus"):
+            fn([], [0])
+        with pytest.raises(ValueError, match=r"vertex 9 out of range 0\.\.8"):
+            fn([3, 3], [0, 9])
+        with pytest.raises(ValueError, match="membership array has 4 entries"):
+            fn([3, 3], np.ones(4, dtype=np.int8))
+    for fn in (cover_shift, cube_witness):
+        with pytest.raises(ValueError, match="strict majority"):
+            fn([3, 3], [0, 1, 3, 4])
