@@ -38,8 +38,8 @@ from .errors import BudgetExceeded
 from .graphs import Graph, VertexSet, build_cayley, builtin_graph, induced_max_degree
 from .groups import (
     FiniteGroup,
+    GeneratingSet,
     enumerate_symmetric_generating_sets,
-    make_generating_set,
     make_group,
 )
 
@@ -68,8 +68,11 @@ _INT64_MAX = (1 << 63) - 1
 # Bytes of the largest temporary the exhaustive engine makes: one uint64 per
 # (vertex, subset) of a chunk.  A cached chunk of m subsets keeps
 # m * (8 * words + n) bytes, at most _CHUNK_BYTES / 4 for n >= 8 (smaller n
-# have at most 35 subsets), so the 64 cached chunks stay under 16 MiB.
+# have at most 35 subsets), so the _CACHED_CHUNKS cached chunks stay under
+# 16 MiB.  Only runs of at most _CACHED_CHUNKS chunks go through the cache: a
+# longer run would evict every chunk, its own included, before reusing any.
 _CHUNK_BYTES = 1 << 20
+_CACHED_CHUNKS = 64
 
 
 @lru_cache(maxsize=64)
@@ -92,7 +95,7 @@ def _rank_table(pool: int, k: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHED_CHUNKS)
 def _subset_chunk(
     n: int, s: int, fix_zero: bool, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +147,11 @@ def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
     ).reshape(n, nwords)
     dtype = np.min_scalar_type(n)  # holds every induced degree (< n)
     step = max(1, _CHUNK_BYTES // (8 * n * nwords))
+    chunk = _subset_chunk if total <= _CACHED_CHUNKS * step else _subset_chunk.__wrapped__
     best = n  # above every induced degree
     best_mask = 0
     for start in range(0, total, step):
-        words, member = _subset_chunk(n, s, fix_zero, start, min(start + step, total))
+        words, member = chunk(n, s, fix_zero, start, min(start + step, total))
         deg = np.bitwise_count(words[0] & adj[:, 0, None]).astype(dtype, copy=False)
         for w in range(1, nwords):
             deg += np.bitwise_count(words[w] & adj[:, w, None])
@@ -380,17 +384,18 @@ def heuristic_search(
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Exact f for one Cayley graph, with the integer bound comparisons.
+    """Exact f for one regular graph, with the integer bound comparisons.
 
-    weak_ok is 2 f^2 >= |S|; strong_ok is 2 f^2 >= |S| + t and is only
-    evaluated for abelian groups (None otherwise); margin = 2 f^2 - |S|,
-    and tight means that margin is 0.
+    set_size is the degree |S|.  weak_ok is 2 f^2 >= |S|; strong_ok is
+    2 f^2 >= |S| + t and is only evaluated for abelian groups (None
+    otherwise); margin = 2 f^2 - |S|, and tight means that margin is 0.
+    order2_count is t, None for a catalog graph, which has no group.
     """
 
     label: str
     n: int
     set_size: int
-    order2_count: int
+    order2_count: int | None
     s: int
     f: int
     witness: VertexSet
@@ -403,8 +408,32 @@ class ConjectureReport:
         return self.margin == 0
 
 
+def _bound_report(
+    res: ExtremalResult, set_size: int, t: int | None, abelian: bool
+) -> ConjectureReport:
+    """The bound comparisons for an exact result on a set_size-regular graph."""
+    f = res.f_value
+    return ConjectureReport(
+        label=res.graph_id,
+        n=res.witness_subset.n,
+        set_size=set_size,
+        order2_count=t,
+        s=res.subset_size,
+        f=f,
+        witness=res.witness_subset,
+        weak_ok=2 * f * f >= set_size,
+        strong_ok=(2 * f * f >= set_size + t) if abelian else None,
+        margin=2 * f * f - set_size,
+    )
+
+
+def _cayley_label(G: FiniteGroup, S: GeneratingSet) -> str:
+    """The graph label of Cay(G, S): the group name, then S in brackets."""
+    return f"{G.name}[{','.join(map(str, S.sorted_elements()))}]"
+
+
 def verify_conjecture(
-    G: FiniteGroup, S, budget: int = DEFAULT_SUBSET_BUDGET
+    G: FiniteGroup, S: GeneratingSet, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> ConjectureReport:
     """Exact bound check for the Cayley graph of (G, S).
 
@@ -414,26 +443,11 @@ def verify_conjecture(
     """
     X = build_cayley(G, S)
     s = G.order // 2 + 1
-    label = f"{G.name}[{','.join(map(str, S.sorted_elements()))}]"
+    label = _cayley_label(G, S)
     res = min_max_degree(
         X.graph, s, method="exhaustive", budget=budget, contains_zero=True, label=label
     )
-    f = res.f_value
-    size = len(S.elements)
-    weak = 2 * f * f >= size
-    strong = (2 * f * f >= size + S.t) if G.is_abelian else None
-    return ConjectureReport(
-        label=label,
-        n=G.order,
-        set_size=size,
-        order2_count=S.t,
-        s=s,
-        f=f,
-        witness=res.witness_subset,
-        weak_ok=weak,
-        strong_ok=strong,
-        margin=2 * f * f - size,
-    )
+    return _bound_report(res, S.size, t=S.t, abelian=G.is_abelian)
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +490,26 @@ def abelian_scan_items(
     """Scan items for every symmetric generating set of every cyclic-product
     group with order in range.
 
-    A Cayley item is ("cayley", G, elements) with G a FiniteGroup; a catalog
-    graph item is ("graph", name).
+    A Cayley item is ("cayley", G, S) with G a FiniteGroup and S the
+    GeneratingSet that enumerate_symmetric_generating_sets built, valid by
+    construction; a catalog graph item is ("graph", name).
     """
     items = []
     for moduli in iter_abelian_moduli(max_order, min_order):
         G = make_group(list(moduli))
         for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G, S.sorted_elements()))
+            items.append(("cayley", G, S))
     return items
 
 
 def named_group_scan_items(names: Sequence[str], max_size: int | None = None) -> list[tuple]:
+    """Cayley scan items (see abelian_scan_items) for every symmetric
+    generating set of each named group."""
     items = []
     for name in names:
         G = make_group(name)
         for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G, S.sorted_elements()))
+            items.append(("cayley", G, S))
     return items
 
 
@@ -503,65 +520,37 @@ def graph_scan_items(names: Sequence[str]) -> list[tuple]:
 def _item_label(item: tuple) -> str:
     """The graph label a scan item gets in the CSV."""
     if item[0] == "cayley":
-        _, G, elems = item
-        return f"{G.name}[{','.join(map(str, sorted(elems)))}]"
+        return _cayley_label(item[1], item[2])
     return str(item[1])
 
 
 def _item_graph(item: tuple) -> Graph:
     """The graph of a scan item, built afresh."""
     if item[0] == "cayley":
-        _, G, elems = item
-        return build_cayley(G, make_generating_set(G, elems)).graph
+        return build_cayley(item[1], item[2]).graph
     return builtin_graph(item[1])
 
 
-def _scan_row(item: tuple, budget: int) -> dict:
+def _scan_row(item: tuple, budget: int) -> ConjectureReport | str:
+    """The report of one scan item, or the error line naming its CSV label."""
     kind = item[0]
     try:
         if kind == "cayley":
-            _, G, elems = item
-            S = make_generating_set(G, elems)
-            rep = verify_conjecture(G, S, budget=budget)
-            return {
-                "graph": rep.label,
-                "n": rep.n,
-                "regularity": rep.set_size,
-                "s": rep.s,
-                "f": rep.f,
-                "method": "exhaustive",
-                "weak_ok": rep.weak_ok,
-                "strong_ok": rep.strong_ok,
-                "margin": rep.margin,
-                "witness": rep.witness,
-            }
+            _, G, S = item
+            return verify_conjecture(G, S, budget=budget)
         if kind == "graph":
             _, name = item
             X = builtin_graph(name)
             if not X.is_regular():
                 raise ValueError(f"catalog graph {name} is not regular")
-            reg = X.max_degree()
-            s = X.n // 2 + 1
-            res = min_max_degree(X, s, method="exhaustive", budget=budget, label=name)
-            f = res.f_value
-            return {
-                "graph": name,
-                "n": X.n,
-                "regularity": reg,
-                "s": s,
-                "f": f,
-                "method": "exhaustive",
-                "weak_ok": 2 * f * f >= reg,
-                "strong_ok": None,
-                "margin": 2 * f * f - reg,
-                "witness": res.witness_subset,
-            }
+            res = min_max_degree(X, X.n // 2 + 1, method="exhaustive", budget=budget, label=name)
+            return _bound_report(res, X.max_degree(), t=None, abelian=False)
         raise ValueError(f"unknown scan item kind {kind!r}")
     except ValueError as exc:  # recorded per instance; the scan keeps going
-        return {"error": f"{_item_label(item)}: {exc}"}
+        return f"{_item_label(item)}: {exc}"
 
 
-def _scan_worker(args: tuple) -> dict:
+def _scan_worker(args: tuple) -> ConjectureReport | str:
     item, budget = args
     return _scan_row(item, budget)
 
@@ -575,12 +564,16 @@ def scan(
 ) -> tuple[ScanSummary, str]:
     """Run the conjecture check over a family of instances.
 
+    Items come from the *_scan_items functions.  A Cayley item's
+    GeneratingSet is used as it is: it was validated where it was made.
+
     Returns (summary, csv_text).  Weak-bound failures are findings, not
     errors: they are counted, and each is re-verified with
-    induced_max_degree and emitted as a standalone JSON document (written
-    under violations_dir when given).  An instance that raises ValueError
-    (bad input, or BudgetExceeded) is recorded in the summary under its CSV
-    label and the scan continues; an InvariantBreach propagates.
+    induced_max_degree on a freshly built graph and emitted as a standalone
+    JSON document (written under violations_dir when given).  An instance
+    that raises ValueError (a catalog graph that is not regular, or
+    BudgetExceeded) is recorded in the summary under its CSV label and the
+    scan continues; an InvariantBreach propagates.
     Output is byte-identical for any jobs count.
     """
     rows = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
@@ -593,32 +586,30 @@ def scan(
     weak_failures = 0
     min_margin: int | None = None
     count = 0
-    for item, row in zip(items, rows):
-        if "error" in row:
-            errors.append(row["error"])
+    for item, rep in zip(items, rows):
+        if isinstance(rep, str):
+            errors.append(rep)
             continue
         count += 1
-        margin = row["margin"]
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        witness: VertexSet = row["witness"]
+        if min_margin is None or rep.margin < min_margin:
+            min_margin = rep.margin
         writer.writerow(
             [
-                row["graph"],
-                row["n"],
-                row["regularity"],
-                row["s"],
-                row["f"],
-                row["method"],
-                int(row["weak_ok"]),
-                "" if row["strong_ok"] is None else int(row["strong_ok"]),
-                margin,
-                " ".join(map(str, witness.members())),
+                rep.label,
+                rep.n,
+                rep.set_size,
+                rep.s,
+                rep.f,
+                "exhaustive",
+                int(rep.weak_ok),
+                "" if rep.strong_ok is None else int(rep.strong_ok),
+                rep.margin,
+                " ".join(map(str, rep.witness.members())),
             ]
         )
-        if not row["weak_ok"]:
+        if not rep.weak_ok:
             weak_failures += 1
-            violations.append(_violation_record(row, _item_graph(item)))
+            violations.append(_violation_record(rep, _item_graph(item)))
 
     csv_text = buf.getvalue()
     if out_csv is not None:
@@ -640,21 +631,20 @@ def scan(
     return summary, csv_text
 
 
-def _violation_record(row: dict, X: Graph) -> dict:
+def _violation_record(rep: ConjectureReport, X: Graph) -> dict:
     """Re-verify a weak-bound failure on its graph X and package it as a
     standalone record."""
-    witness: VertexSet = row["witness"]
-    deg, _ = induced_max_degree(X, witness)
+    deg, _ = induced_max_degree(X, rep.witness)
     return {
-        "graph": row["graph"],
-        "n": row["n"],
-        "regularity": row["regularity"],
-        "s": row["s"],
-        "f": row["f"],
+        "graph": rep.label,
+        "n": rep.n,
+        "regularity": rep.set_size,
+        "s": rep.s,
+        "f": rep.f,
         "reverified_degree": deg,
-        "reverified": deg == row["f"],
-        "margin": row["margin"],
-        "subset": witness.members(),
+        "reverified": deg == rep.f,
+        "margin": rep.margin,
+        "subset": rep.witness.members(),
     }
 
 

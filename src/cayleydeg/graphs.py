@@ -1,9 +1,9 @@
 """Simple undirected graphs, Cayley graph construction, vertex subsets,
 induced degree queries, a counterexample family, and DOT/JSON serialization.
 
-Vertices are indices 0..n-1.  Adjacency is kept both as sorted neighbor
-tuples and as integer bitmasks, which makes induced-subgraph degree counting
-a popcount.
+Vertices are indices 0..n-1.  Adjacency is kept once, as one integer
+bitmask per vertex: induced-subgraph degree counting is a popcount, and
+neighbor lists, degrees, edges and components are read off the masks.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def _as_vertex_set(n: int, U) -> VertexSet:
 
 
 class Graph:
-    """An undirected simple graph with sorted adjacency lists."""
+    """An undirected simple graph; adj_masks[v] has bit u set when u ~ v."""
 
-    __slots__ = ("n", "adjacency", "adj_masks", "edge_count")
+    __slots__ = ("n", "adj_masks", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -136,7 +136,6 @@ class Graph:
             count += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_masks", tuple(masks))
-        object.__setattr__(self, "adjacency", tuple(tuple(_bit_indices(m)) for m in masks))
         object.__setattr__(self, "edge_count", count)
 
     def __setattr__(self, *_):
@@ -146,35 +145,30 @@ class Graph:
         return (Graph, (self.n, self.edges()))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(_bit_indices(self.adj_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adj_masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        """Every edge (u, v) with u < v, sorted."""
+        return [(u, v) for u, m in enumerate(self.adj_masks) for v in _bit_indices(m) if u < v]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max((m.bit_count() for m in self.adj_masks), default=0)
 
     def is_regular(self) -> bool:
-        degs = {len(a) for a in self.adjacency}
-        return len(degs) <= 1
+        return len({m.bit_count() for m in self.adj_masks}) <= 1
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.adjacency == other.adjacency
+            and self.adj_masks == other.adj_masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self.adj_masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -227,23 +221,18 @@ def induced_max_degree(X: Graph, U) -> tuple[int, int | None]:
 
 def components(X: Graph) -> list[VertexSet]:
     """Connected components, listed in order of their smallest vertex."""
-    unseen = set(range(X.n))
+    unseen = (1 << X.n) - 1
     out = []
     while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        unseen.discard(start)
+        comp = frontier = unseen & -unseen
         while frontier:
-            nxt = []
-            for u in frontier:
-                for w in X.adjacency[u]:
-                    if w in unseen:
-                        unseen.discard(w)
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        out.append(VertexSet.from_members(X.n, comp))
+            reached = 0
+            for u in _bit_indices(frontier):
+                reached |= X.adj_masks[u]
+            frontier = reached & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        out.append(VertexSet(X.n, comp))
     return out
 
 

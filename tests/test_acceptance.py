@@ -6,6 +6,7 @@ single-process results are computed once in module fixtures and reused.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -30,6 +31,10 @@ from cayleydeg.signing import huang_signing, spectrum, verify_signing
 from cayleydeg.witness import cover_counts, cover_shift, random_witness_suite
 
 SCAN_GROUPS = ["s3", "d4", "q8", "d5", "a4"]
+
+# sha256 of the criterion 1 CSV (35,277 rows), which every engine change must
+# reproduce byte for byte
+CRITERION_1_SHA256 = "d8e4b34400c5152ec323b20f273e46aa70f8e4faef8677657e8bd1d4bcfd6fab"
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -76,6 +81,7 @@ def test_criterion_1_abelian_exhaustive_bound():
         and summary.weak_failures == 0
         and strong_failures == 0
         and all(r["strong_ok"] == "1" for r in rows)
+        and hashlib.sha256(csv_text.encode()).hexdigest() == CRITERION_1_SHA256
     )
     _report(1, ok, f"{len(rows)} instances, 0 violations of 2f^2 >= |S|+t")
 

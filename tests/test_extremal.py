@@ -1,5 +1,7 @@
 """Tests for exact subset-degree minimization and the bound-checking scan."""
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -24,6 +26,7 @@ from cayleydeg.extremal import (
 )
 from cayleydeg.graphs import Graph, build_cayley, builtin_graph, induced_max_degree
 from cayleydeg.groups import (
+    GeneratingSet,
     enumerate_symmetric_generating_sets,
     make_generating_set,
     make_group,
@@ -297,8 +300,9 @@ def test_scan_violation_in_a_table_group_is_reverified(tmp_path, monkeypatch):
     import cayleydeg.extremal as extremal
 
     G = make_group({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})  # Z3, name "table"
+    item = ("cayley", G, make_generating_set(G, [1, 2]))
     monkeypatch.setattr(extremal, "verify_conjecture", _weakened(extremal.verify_conjecture))
-    summary, csv_text = scan([("cayley", G, (1, 2))], violations_dir=tmp_path, jobs=1)
+    summary, csv_text = scan([item], violations_dir=tmp_path, jobs=1)
     assert summary.weak_failures == 1 and summary.errors == []
     record = json.loads((tmp_path / "violation_0000.json").read_text())
     assert record["graph"] == "table[1,2]"
@@ -308,10 +312,31 @@ def test_scan_violation_in_a_table_group_is_reverified(tmp_path, monkeypatch):
 
 def test_scan_errors_name_the_csv_label():
     G = make_group("q8")
-    summary, _ = scan([("cayley", G, (1, 2)), ("graph", "cycle:2")], jobs=1)
+    items = [("cayley", G, make_generating_set(G, [4, 5, 2, 3])), ("graph", "cycle:2")]
+    summary, _ = scan(items, budget=1, jobs=1)
     assert summary.instances == 0
-    assert summary.errors[0].startswith("q8[1,2]: set is not symmetric")
+    assert summary.errors[0].startswith("q8[2,3,4,5]: ")
+    assert "exceed the budget 1" in summary.errors[0]
     assert summary.errors[1].startswith("cycle:2: ")
+
+
+def test_scan_items_carry_the_enumerated_set_and_scan_does_not_revalidate(monkeypatch):
+    import cayleydeg.groups as groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_generating_set called on the scan path")
+
+    monkeypatch.setattr(groups, "make_generating_set", refuse)
+    assert not hasattr(extremal, "make_generating_set")
+    G = make_group("q8")
+    items = named_group_scan_items(["q8"])
+    sets = list(enumerate_symmetric_generating_sets(G))
+    assert [S for _, _, S in items] == sets
+    assert all(isinstance(S, GeneratingSet) for _, _, S in items)
+    summary, csv_text = scan(items, jobs=1)
+    assert summary.errors == [] and summary.instances == len(sets)
+    labels = [row["graph"] for row in csv.DictReader(io.StringIO(csv_text))]
+    assert labels == [f"q8[{','.join(map(str, S.sorted_elements()))}]" for S in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +444,29 @@ def test_exhaustive_memory_is_bounded_by_the_chunk(monkeypatch):
         extremal._subset_chunk.cache_clear()
     assert got == expect
     assert peak < full_array / 8, (peak, full_array)
+
+
+def test_runs_longer_than_the_chunk_cache_bypass_it():
+    # a cold n = 24 run streams about 250 chunks: cached, they would evict the
+    # one chunk of the n = 16 run and keep 64 of their own alive
+    rng = random.Random(24)
+    small, X = _random_graph(rng, 16), _random_graph(rng, 24)
+    extremal._subset_chunk.cache_clear()
+    try:
+        _engine(small, 9, True)
+        tracemalloc.start()
+        try:
+            _engine(X, 13, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        before = extremal._subset_chunk.cache_info()
+        _engine(small, 9, True)
+        after = extremal._subset_chunk.cache_info()
+    finally:
+        extremal._subset_chunk.cache_clear()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert peak < 4 << 20, peak
 
 
 def test_exhaustive_refuses_totals_past_int64(monkeypatch):

@@ -255,10 +255,9 @@ def test_build_cayley_matches_scalar_edge_loop():
 
 
 def _reference_graph(n, edges):
-    """(adj_masks, adjacency, edge_count) built with a set of edge tuples and
-    a per-bit scan, or the ValueError message the input must raise."""
+    """Everything a Graph reports, computed from a set of edge tuples and
+    neighbor sets, or the ValueError message the input must raise."""
     seen = set()
-    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             return f"edge ({u},{v}) has an endpoint outside 0..{n - 1}"
@@ -268,21 +267,63 @@ def _reference_graph(n, edges):
         if key in seen:
             return f"duplicate edge ({key[0]},{key[1]})"
         seen.add(key)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    adjacency = tuple(tuple(v for v in range(n) if m >> v & 1) for m in masks)
-    return tuple(masks), adjacency, len(seen)
+    nbrs = [set() for _ in range(n)]
+    for u, v in seen:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    comps, unseen = [], set(range(n))
+    while unseen:
+        stack = [min(unseen)]
+        comp = set(stack)
+        while stack:
+            for w in nbrs[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        unseen -= comp
+        comps.append(sorted(comp))
+    degrees = [len(a) for a in nbrs]
+    edge_list = sorted(seen)
+    dot = "graph {\n" + "".join(f"  {v};\n" for v in range(n))
+    dot += "".join(f"  {u} -- {v};\n" for u, v in edge_list) + "}\n"
+    return {
+        "adj_masks": tuple(sum(1 << w for w in a) for a in nbrs),
+        "edge_count": len(seen),
+        "neighbors": [tuple(sorted(a)) for a in nbrs],
+        "degrees": degrees,
+        "edges": edge_list,
+        "max_degree": max(degrees, default=0),
+        "is_regular": len(set(degrees)) <= 1,
+        "components": comps,
+        "json": f'{{"n":{n},"edges":[{",".join(f"[{u},{v}]" for u, v in edge_list)}]}}'.encode(),
+        "dot": dot.encode(),
+    }
+
+
+def _graph_report(X):
+    return {
+        "adj_masks": X.adj_masks,
+        "edge_count": X.edge_count,
+        "neighbors": [X.neighbors(v) for v in range(X.n)],
+        "degrees": [X.degree(v) for v in range(X.n)],
+        "edges": X.edges(),
+        "max_degree": X.max_degree(),
+        "is_regular": X.is_regular(),
+        "components": [c.members() for c in components(X)],
+        "json": export_graph(X, "json"),
+        "dot": export_graph(X, "dot"),
+    }
 
 
 def test_graph_constructor_matches_set_reference():
     rng = random.Random(88)
     for trial in range(300):
         n = rng.randint(1, 80)
+        p = rng.choice([0.3, 0.03])  # sparse graphs have several components
         edges = [
             (u, v) if rng.random() < 0.5 else (v, u)
             for u in range(n)
             for v in range(u + 1, n)
-            if rng.random() < 0.3
+            if rng.random() < p
         ]
         rng.shuffle(edges)
         if trial % 3 == 1 and edges:  # a repeated edge, in either orientation
@@ -296,8 +337,18 @@ def test_graph_constructor_matches_set_reference():
             with pytest.raises(ValueError) as err:
                 Graph(n, edges)
             assert str(err.value) == expect
-        else:
-            X = Graph(n, edges)
-            assert (X.adj_masks, X.adjacency, X.edge_count) == expect
-            for m in X.adj_masks:
-                assert VertexSet(n, m).members() == [v for v in range(n) if m >> v & 1]
+            continue
+        X = Graph(n, edges)
+        assert _graph_report(X) == expect
+        for m in X.adj_masks:
+            assert VertexSet(n, m).members() == [v for v in range(n) if m >> v & 1]
+        # equal, and then equal-hashing, exactly when the edge sets are equal
+        Y = Graph(n, [(v, u) for u, v in reversed(edges)])
+        assert X == Y and hash(X) == hash(Y)
+        assert X != Graph(n + 1, edges)
+        rotated = [((u + 1) % n, (v + 1) % n) for u, v in edges]
+        Z = Graph(n, rotated)
+        assert (X == Z) == (_reference_graph(n, rotated)["edges"] == expect["edges"])
+        assert X != Z or hash(X) == hash(Z)
+        if edges:
+            assert X != Graph(n, edges[1:])
