@@ -96,7 +96,7 @@ def _parse_element(G: FiniteGroup, token: str) -> int:
     """One element token: eK basis vector, decimal index, or (a,b,...) tuple."""
     t = token.strip()
     if t.startswith("(") and t.endswith(")"):
-        if G.kind != "cyclic-product":
+        if not G.moduli:
             raise ValueError("tuple element tokens need a cyclic-product group")
         parts = [p.strip() for p in t[1:-1].split(",") if p.strip()]
         if len(parts) != len(G.moduli):
@@ -105,7 +105,7 @@ def _parse_element(G: FiniteGroup, token: str) -> int:
             )
         return G.encode([int(p) for p in parts])
     if t[:1] == "e" and t[1:].isdigit():
-        if G.kind != "cyclic-product":
+        if not G.moduli:
             raise ValueError("basis tokens e1..ek need a cyclic-product group")
         i = int(t[1:])
         if not 1 <= i <= len(G.moduli):
@@ -174,9 +174,9 @@ def cmd_build(args, cfg: RunConfig) -> int:
     X = build_cayley(G, S)
     comps = components(X.graph)
     print(f"group {G.name} order {G.order}")
-    print(f"generating set size {len(S.elements)} (d={S.d}, t={S.t})")
+    print(f"generating set size {S.size} (d={S.d}, t={S.t})")
     print(f"cayley graph: {X.graph.n} vertices, {X.graph.edge_count} edges, "
-          f"{len(S.elements)}-regular, {len(comps)} component(s)")
+          f"{S.size}-regular, {len(comps)} component(s)")
     data = export_graph(X.graph, args.format).decode()
     out = _resolve_out(cfg, args.out)
     if out is not None or args.print_graph:

@@ -7,12 +7,14 @@ any majority subset U (|U| > n/2) contains a size-s subset U0 with
 max-deg X(U0) <= max-deg X(U), and size-s subsets are themselves majority
 subsets.  Hence min over |U| = s equals min over |U| > n/2.
 
-Three methods are provided: an exhaustive scan over all C(n, s) subsets (the
-reference; witness is the lexicographically least minimizer), a sound and
-complete branch-and-bound decision procedure, and a seeded swap heuristic
-that yields an upper bound only.  For Cayley graphs the exhaustive scan can
-be restricted to subsets containing vertex 0, since right translation is a
-graph automorphism carrying any subset to one through 0.
+Each method has one entry point: min_max_degree is the exact f by an
+exhaustive scan over all C(n, s) subsets (the reference; its witness is the
+lexicographically least minimizer), branch_and_bound is a sound and complete
+decision procedure for f <= target at one target, and heuristic_search is a
+seeded swap heuristic that yields an upper bound only.  For Cayley graphs the
+exhaustive scan can be restricted to subsets containing vertex 0, since
+right translation is a graph automorphism carrying any subset to one
+through 0.
 
 The exhaustive scan unranks the subsets in lexicographic chunks of 64-bit
 mask words and counts induced degrees with np.bitwise_count, so its memory
@@ -168,7 +170,6 @@ def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
 class ExtremalResult:
     """Outcome of a subset-degree minimization."""
 
-    graph_id: str
     subset_size: int
     f_value: int
     witness_subset: VertexSet
@@ -179,48 +180,32 @@ class ExtremalResult:
 def min_max_degree(
     X: Graph,
     s: int,
-    method: str = "exhaustive",
+    *,
     budget: int = DEFAULT_SUBSET_BUDGET,
     contains_zero: bool = False,
-    seed: int = 0,
-    label: str = "graph",
 ) -> ExtremalResult:
-    """Minimize induced max degree over subsets of size exactly s.
+    """Exact f over subsets of size exactly s, by the exhaustive scan.
 
-    The exhaustive method is exact and returns the lexicographically least
-    witness; it refuses to start if C(n, s) exceeds budget or int64.
-    branch-and-bound is exact via iterative deepening over the decision
-    procedure.  heuristic returns an upper bound only.
+    Returns the lexicographically least witness.  With contains_zero only
+    subsets through vertex 0 are scanned.  Refuses to start if the number of
+    subsets exceeds budget or int64.
     """
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
-    if method == "exhaustive":
-        total = math.comb(X.n - 1, s - 1) if contains_zero else math.comb(X.n, s)
-        if total > budget:
-            raise BudgetExceeded(
-                f"C({X.n},{s}) = {total} subsets exceed the budget {budget}; "
-                "try the branch-and-bound or heuristic method"
-            )
-        if total > _INT64_MAX:
-            raise BudgetExceeded(
-                f"C({X.n},{s}) = {total} subsets do not fit in int64 ranks; "
-                "try the branch-and-bound or heuristic method"
-            )
-        f, witness = _exhaustive(X, s, contains_zero)
-        return ExtremalResult(label, s, f, witness, "exhaustive", True)
-    if method == "branch-and-bound":
-        for target in range(s):
-            out = branch_and_bound(X, s, target, node_budget=budget)
-            if out.status == "undecided":
-                raise BudgetExceeded(
-                    f"branch-and-bound hit the node budget {budget} at target {target}"
-                )
-            if out.status == "true":
-                return ExtremalResult(label, s, target, out.witness, "branch-and-bound", True)
-        raise AssertionError("unreachable: target s-1 always succeeds")
-    if method == "heuristic":
-        return heuristic_search(X, s, seed=seed, budget=min(budget, 10**5), label=label)
-    raise ValueError(f"unknown method {method!r}")
+    pool, k = (X.n - 1, s - 1) if contains_zero else (X.n, s)
+    total = math.comb(pool, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"C({pool},{k}) = {total} subsets exceed the budget {budget}; "
+            "try branch_and_bound or heuristic_search"
+        )
+    if total > _INT64_MAX:
+        raise BudgetExceeded(
+            f"C({pool},{k}) = {total} subsets do not fit in int64 ranks; "
+            "try branch_and_bound or heuristic_search"
+        )
+    f, witness = _exhaustive(X, s, contains_zero)
+    return ExtremalResult(s, f, witness, "exhaustive", True)
 
 
 @dataclass(frozen=True)
@@ -307,7 +292,6 @@ def heuristic_search(
     s: int,
     seed: int = 0,
     budget: int = 10_000,
-    label: str = "graph",
 ) -> ExtremalResult:
     """Seeded local search over size-s subsets; an upper bound on f.
 
@@ -379,7 +363,7 @@ def heuristic_search(
                 if cur[0] < best_val:
                     best_val, best_mask = cur[0], mask
 
-    return ExtremalResult(label, s, int(best_val), VertexSet(n, best_mask), "heuristic", False)
+    return ExtremalResult(s, int(best_val), VertexSet(n, best_mask), "heuristic", False)
 
 
 @dataclass(frozen=True)
@@ -409,12 +393,12 @@ class ConjectureReport:
 
 
 def _bound_report(
-    res: ExtremalResult, set_size: int, t: int | None, abelian: bool
+    label: str, res: ExtremalResult, set_size: int, t: int | None, abelian: bool
 ) -> ConjectureReport:
     """The bound comparisons for an exact result on a set_size-regular graph."""
     f = res.f_value
     return ConjectureReport(
-        label=res.graph_id,
+        label=label,
         n=res.witness_subset.n,
         set_size=set_size,
         order2_count=t,
@@ -443,11 +427,8 @@ def verify_conjecture(
     """
     X = build_cayley(G, S)
     s = G.order // 2 + 1
-    label = _cayley_label(G, S)
-    res = min_max_degree(
-        X.graph, s, method="exhaustive", budget=budget, contains_zero=True, label=label
-    )
-    return _bound_report(res, S.size, t=S.t, abelian=G.is_abelian)
+    res = min_max_degree(X.graph, s, budget=budget, contains_zero=True)
+    return _bound_report(_cayley_label(G, S), res, S.size, t=S.t, abelian=G.is_abelian)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +524,8 @@ def _scan_row(item: tuple, budget: int) -> ConjectureReport | str:
             X = builtin_graph(name)
             if not X.is_regular():
                 raise ValueError(f"catalog graph {name} is not regular")
-            res = min_max_degree(X, X.n // 2 + 1, method="exhaustive", budget=budget, label=name)
-            return _bound_report(res, X.max_degree(), t=None, abelian=False)
+            res = min_max_degree(X, X.n // 2 + 1, budget=budget)
+            return _bound_report(name, res, X.max_degree(), t=None, abelian=False)
         raise ValueError(f"unknown scan item kind {kind!r}")
     except ValueError as exc:  # recorded per instance; the scan keeps going
         return f"{_item_label(item)}: {exc}"
@@ -663,7 +644,7 @@ def _agreement_worker(args: tuple) -> str:
     X = Graph(n, edges)
     parts = [f"g={index} n={n} e={X.edge_count}"]
     for s in range(1, n + 1):
-        exact = min_max_degree(X, s, method="exhaustive", label=f"g{index}")
+        exact = min_max_degree(X, s)
         f = exact.f_value
         for target in range(s):
             out = branch_and_bound(X, s, target)

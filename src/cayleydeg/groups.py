@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,12 +45,13 @@ _ASSOC_SAMPLE_SEED = 0x5EED
 class FiniteGroup:
     """A finite group on indices 0..order-1 with identity at index 0.
 
-    Multiplication is exposed as left translations: translations(elems) has
-    row i equal to L_s with s = elems[i], where L_s[g] = s*g, and inverses[a]
-    is the inverse of a.  Every product in the package reads these arrays.
+    A cyclic product has its moduli and no table; a table group has its table
+    and no moduli.  Multiplication is exposed as left translations:
+    translations(elems) has row i equal to L_s with s = elems[i], where
+    L_s[g] = s*g, and inverses[a] is the inverse of a.  Every product in the
+    package reads these arrays.
     """
 
-    kind: str  # "cyclic-product" or "table"
     order: int
     name: str
     moduli: tuple[int, ...] = ()
@@ -72,7 +73,7 @@ class FiniteGroup:
     def translations(self, elems: Sequence[int]) -> np.ndarray:
         """Left-translation rows: row i is L_s with s = elems[i], L_s[g] = s*g."""
         elems = np.asarray(elems, dtype=np.intp).reshape(-1)
-        if self.kind == "cyclic-product":
+        if self.moduli:
             c = self._coords
             mods = np.array(self.moduli)[:, None, None]
             sums = (c[:, elems, None] + c[:, None, :]) % mods
@@ -84,7 +85,7 @@ class FiniteGroup:
     @cached_property
     def inverses(self) -> np.ndarray:
         """inverses[a] is the inverse of a."""
-        if self.kind == "cyclic-product":
+        if self.moduli:
             mods = np.array(self.moduli)[:, None]
             return np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
         return np.array([row.index(0) for row in self.table], dtype=np.intp)
@@ -122,7 +123,7 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        if not self.table:  # a cyclic product
+        if self.moduli:
             return True
         t = np.array(self.table, dtype=np.intp)
         return bool((t == t.T).all())
@@ -186,14 +187,14 @@ def _cyclic_product(moduli: Sequence[int]) -> FiniteGroup:
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} exceeds the supported maximum {MAX_GROUP_ORDER}")
     name = "z" + "x".join(str(m) for m in moduli)
-    return FiniteGroup(kind="cyclic-product", order=order, name=name, moduli=moduli)
+    return FiniteGroup(order=order, name=name, moduli=moduli)
 
 
 def _table_group(table: Sequence[Sequence[int]], name: str) -> FiniteGroup:
     if len(table) > MAX_GROUP_ORDER:
         raise ValueError(f"group order {len(table)} exceeds the supported maximum {MAX_GROUP_ORDER}")
     t = _validate_table(table)
-    return FiniteGroup(kind="table", order=len(t), name=name, table=t)
+    return FiniteGroup(order=len(t), name=name, table=t)
 
 
 def _dihedral_table(n: int) -> list[list[int]]:
@@ -349,22 +350,33 @@ class GeneratingSet:
 
     order2 holds the elements s with s = s^-1, sorted ascending.  pairs holds
     one (x, x^-1) tuple per inverse pair with x the smaller index, sorted by
-    x.  d = t + len(pairs) counts "directions"; |elements| = 2d - t.
+    x.  Every builder emits this canonical order, so two sets are equal
+    exactly when they have the same elements and generation flag.  d = t +
+    len(pairs) counts "directions"; |elements| = 2d - t.
     """
 
-    elements: frozenset[int]
     order2: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    d: int
-    t: int
     generates: bool
 
     @property
+    def t(self) -> int:
+        return len(self.order2)
+
+    @property
+    def d(self) -> int:
+        return len(self.order2) + len(self.pairs)
+
+    @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.order2) + 2 * len(self.pairs)
+
+    @property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(sorted(chain(self.order2, *self.pairs)))
 
     def images(self) -> tuple[int, ...]:
         """Canonical direction representatives: order-2 first, then pair reps."""
@@ -408,23 +420,9 @@ def make_generating_set(
     generates = _generates(G.translations(members))
     if not generates and not allow_nongenerating:
         raise ValueError("set does not generate the group (pass allow_nongenerating to accept)")
-    return _split(
-        elements,
-        [x for x in members if inv[x] == x],
-        [(x, inv[x]) for x in members if x < inv[x]],
-        generates,
-    )
-
-
-def _split(elements, order2, pairs, generates: bool) -> GeneratingSet:
-    """A GeneratingSet from its involutions and inverse pairs, both in order."""
-    t = len(order2)
     return GeneratingSet(
-        elements=frozenset(elements),
-        order2=tuple(order2),
-        pairs=tuple(pairs),
-        d=t + len(pairs),
-        t=t,
+        order2=tuple(x for x in members if inv[x] == x),
+        pairs=tuple((x, inv[x]) for x in members if x < inv[x]),
         generates=generates,
     )
 
@@ -474,9 +472,8 @@ def enumerate_symmetric_generating_sets(
         members = [x for unit in chosen for x in unit]
         if not _generates(rows[members]):
             continue
-        yield _split(
-            members,
-            [unit[0] for unit in chosen if len(unit) == 1],
-            [unit for unit in chosen if len(unit) == 2],
-            True,
+        yield GeneratingSet(
+            order2=tuple(unit[0] for unit in chosen if len(unit) == 1),
+            pairs=tuple(unit for unit in chosen if len(unit) == 2),
+            generates=True,
         )

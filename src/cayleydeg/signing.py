@@ -93,10 +93,6 @@ class SignedAdjacency:
         )
 
 
-def _check_signed(matrix: np.ndarray, label: str = "") -> SignedAdjacency:
-    return SignedAdjacency(matrix=np.asarray(matrix), label=label)
-
-
 def huang_signing(n: int, cap: int = HUANG_DIMENSION_CAP) -> SignedAdjacency:
     """The recursive signing of the n-dimensional hypercube with M M = n I.
 
@@ -305,9 +301,7 @@ def signing_search(
                 best_val = val
                 best_bits = bits
         mat = _signing_from_bits(X.n, edges, best_bits)
-        return SearchResult(
-            _check_signed(mat, "search"), best_val, 1 << ne, "exhaustive"
-        )
+        return SearchResult(SignedAdjacency(mat, "search"), best_val, 1 << ne, "exhaustive")
 
     tasks = [(tuple(edges), X.n, seed, r, budget) for r in range(restarts)]
     outcomes = parallel_map(_climb_worker, tasks, jobs=jobs)
@@ -318,7 +312,7 @@ def signing_search(
         if val > best_val or (val == best_val and bits < best_bits):
             best_val, best_bits = val, bits
     mat = _signing_from_bits(X.n, edges, best_bits)
-    return SearchResult(_check_signed(mat, "search"), best_val, total, "hill-climb")
+    return SearchResult(SignedAdjacency(mat, "search"), best_val, total, "hill-climb")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ def signing_from_json(text: str) -> SignedAdjacency:
             raise ValueError(f"duplicate edge ({u},{v})")
         m[u, v] = s
         m[v, u] = s
-    return _check_signed(m)
+    return SignedAdjacency(m)
 
 
 def spectrum_to_csv(spec: Spectrum) -> str:

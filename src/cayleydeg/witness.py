@@ -183,8 +183,36 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     an internal invariant breach.
     """
     moduli = _check_moduli(moduli)
+    r, cube_points, u, k, steps = _cube_vertex(moduli, _membership_array(moduli, U))
+    return WitnessReport(
+        vertex=u,
+        neighbors=tuple(nb for _, _, nb in steps),
+        k=k,
+        d=len(moduli),
+        t=sum(1 for m in moduli if m == 2),
+        bound_satisfied=True,
+        trace={
+            "shift": r,
+            "cube_points": cube_points,
+            "lifted_vertex": u,
+            "signs": [(i, sign) for i, sign, _ in steps],
+        },
+        checks={"adjacency": True, "distinct": True, "bound": True},
+    )
+
+
+def _cube_vertex(
+    moduli: tuple[int, ...], ind: np.ndarray
+) -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
+    """The cube step of cube_witness for validated moduli and a flat int8
+    membership array.
+
+    Returns (r, cube_points, u, k, steps): the covering shift and its count,
+    the chosen member u of the cube copy at r with its k in-subset cube
+    neighbors, and one (i, sign, neighbor) step per such neighbor, in
+    direction order, where neighbor = u + sign * e_i.
+    """
     d = len(moduli)
-    ind = _membership_array(moduli, U)
     r, cube_points = _cover_shift(moduli, ind)
 
     # group index of r + e_T for each subset-mask T (bit i of the mask is
@@ -217,35 +245,15 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
 
     cand = np.flatnonzero(deg_members == k)
     u_mask = int(cand[np.argmin(verts[cand])])
-    u = int(verts[u_mask])
 
-    signs = []
-    neighbors = []
+    steps = []
     for i in range(d):
         nb_mask = u_mask ^ (1 << i)
         if member[nb_mask]:
-            signs.append((i, -1 if (u_mask >> i) & 1 else 1))
-            neighbors.append(int(verts[nb_mask]))
-    if len(neighbors) != k:
+            steps.append((i, -1 if (u_mask >> i) & 1 else 1, int(verts[nb_mask])))
+    if len(steps) != k:
         raise InvariantBreach("neighbor reconstruction disagrees with cube degree")
-
-    t = sum(1 for m in moduli if m == 2)
-    report = WitnessReport(
-        vertex=u,
-        neighbors=tuple(neighbors),
-        k=k,
-        d=d,
-        t=t,
-        bound_satisfied=True,
-        trace={
-            "shift": r,
-            "cube_points": cube_points,
-            "lifted_vertex": u,
-            "signs": signs,
-        },
-        checks={"adjacency": True, "distinct": True, "bound": True},
-    )
-    return report
+    return r, cube_points, int(verts[u_mask]), k, steps
 
 
 @dataclass(frozen=True)
@@ -276,7 +284,7 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
     member per inverse pair, matching GeneratingSet.images().  Errors if the
     source m^d exceeds cap or S does not generate.
     """
-    if G.kind != "cyclic-product":
+    if not G.moduli:
         raise ValueError("lifts are defined for cyclic-product groups only")
     if not S.generates:
         raise ValueError("the generating set does not generate; fibers would be unequal")
@@ -324,7 +332,7 @@ def abelian_witness(
     re-verified: membership in U, pairwise distinctness, adjacency via the
     group operation, and the exact bound k^2 >= d.
     """
-    if G.kind != "cyclic-product":
+    if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
     U = U if isinstance(U, VertexSet) else VertexSet.from_members(G.order, U)
     if 2 * U.size <= G.order:
@@ -338,12 +346,11 @@ def abelian_witness(
     u_ind[U.members()] = 1
     pre = u_ind[lift.values]
 
-    inner = cube_witness([m] * d, pre)
-    h = inner.vertex
+    r, cube_points, h, k, steps = _cube_vertex((m,) * d, pre)
 
     signs = []
     lifted_neighbors = []
-    for i, _ in inner.trace["signs"]:
+    for i, _, _ in steps:
         place = m ** (d - 1 - i)  # coordinate i of Z_m^d, coordinate 0 most significant
         digit = (h // place) % m
         for sign in (1, -1):
@@ -359,7 +366,6 @@ def abelian_witness(
 
     u = int(lift.values[h])
     neighbors = [int(lift.values[hn]) for hn in lifted_neighbors]
-    k = inner.k
 
     checks = {}
     checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
@@ -380,8 +386,8 @@ def abelian_witness(
         t=S.t,
         bound_satisfied=True,
         trace={
-            "shift": inner.trace["shift"],
-            "cube_points": inner.trace["cube_points"],
+            "shift": r,
+            "cube_points": cube_points,
             "lifted_vertex": h,
             "signs": signs,
         },

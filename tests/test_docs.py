@@ -1,0 +1,44 @@
+"""Documentation that must stay true: exported names and the README example."""
+
+import contextlib
+import importlib
+import io
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import cayleydeg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    exported = {}
+    for info in pkgutil.iter_modules(cayleydeg.__path__):
+        mod = importlib.import_module(f"cayleydeg.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
+            exported[name] = getattr(mod, name)
+    # the package re-exports public names of its modules, each under the
+    # name and as the object its home module exports
+    reexports = [
+        name for name, obj in vars(cayleydeg).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    ]
+    assert reexports
+    for name in getattr(cayleydeg, "__all__", reexports):
+        assert hasattr(cayleydeg, name), f"cayleydeg.__all__ names missing {name}"
+        assert exported.get(name) is getattr(cayleydeg, name), name
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text()
+    section = text.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md quick start", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 3
+    assert lines[1].split()[-1] in ("True", "False")

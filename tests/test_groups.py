@@ -227,13 +227,17 @@ def _naive_symmetric_generating_sets(G):
 
 
 def test_enumeration_matches_powerset_oracle():
-    for spec in ["z5", "z6", "z2x2", "d3", "q8"]:
+    for spec in ["z5", "z6", "z2x2", "d3", "q8", "d4", "z4x2", "z2x2x2x2"]:
         G = make_group(spec)
-        expected = sorted(_naive_symmetric_generating_sets(G), key=sorted)
-        got = sorted(
-            (s.elements for s in enumerate_symmetric_generating_sets(G)), key=sorted
-        )
-        assert got == expected, spec
+        sets = list(enumerate_symmetric_generating_sets(G))
+        for S in sets:
+            # both builders emit the canonical split, so the sets are equal
+            again = make_generating_set(G, S.sorted_elements())
+            assert S == again and hash(S) == hash(again), (spec, S)
+            assert S.size == len(S.elements) == 2 * S.d - S.t, (spec, S)
+        if G.order <= 8:  # the powerset oracle walks 2^(order-1) subsets
+            expected = sorted(_naive_symmetric_generating_sets(G), key=sorted)
+            assert sorted((S.elements for S in sets), key=sorted) == expected, spec
 
 
 def test_enumeration_max_size_filter():

@@ -1,5 +1,6 @@
 """Tests for the covering shift, cube witness, and lifted witness pipeline."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -283,6 +284,19 @@ def test_certificate_validates_and_converts_its_input_once(monkeypatch):
         fn([3, 3], [0, 1, 3, 4, 8])
         assert calls == {"moduli": 1, "membership": 1}, fn.__name__
 
+    # the lifted certificate builds its own membership array over Z_m^d and
+    # runs the cube step on it directly
+    def refuse(*args, **kwargs):
+        raise AssertionError("abelian_witness called the public cube_witness")
+
+    monkeypatch.setattr(witness, "cube_witness", refuse)
+    G = make_group([6, 2])
+    S = make_generating_set(G, [2, 10, 1, 6])
+    calls.update(moduli=0, membership=0)
+    rep = abelian_witness(G, S, range(7))
+    assert calls == {"moduli": 0, "membership": 0}
+    assert rep.k * rep.k >= rep.d and all(rep.checks.values())
+
 
 def test_certificate_input_errors_are_unchanged():
     for fn in (cover_counts, cover_shift, cube_witness):
@@ -297,3 +311,41 @@ def test_certificate_input_errors_are_unchanged():
     for fn in (cover_shift, cube_witness):
         with pytest.raises(ValueError, match="strict majority"):
             fn([3, 3], [0, 1, 3, 4])
+
+
+def _seeded_certificates(count, seed):
+    """to_json() of seeded abelian_witness and cube_witness certificates."""
+    lifted, cubes = [], []
+    for i in range(count):
+        rng = random.Random(f"{seed}:{i}")
+        while True:
+            moduli = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+            G = make_group(moduli)
+            elems = set()
+            for j in range(len(moduli)):
+                g = G.encode([1 if k == j else 0 for k in range(len(moduli))])
+                elems |= {g, G.inv(g)}
+            for _ in range(rng.randint(0, 2)):
+                g = rng.randrange(1, G.order)
+                elems |= {g, G.inv(g)}
+            S = make_generating_set(G, sorted(elems))
+            if math.lcm(*moduli) ** S.d <= 1 << 12:
+                break
+        U = rng.sample(range(G.order), rng.randint(G.order // 2 + 1, G.order))
+        lifted.append(abelian_witness(G, S, U).to_json())
+        cm = [rng.randint(2, 5) for _ in range(rng.randint(1, 4))]
+        n = math.prod(cm)
+        cubes.append(cube_witness(cm, rng.sample(range(n), rng.randint(n // 2 + 1, n))).to_json())
+    return lifted, cubes
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_certificate_reports_are_pinned():
+    # every report field is pinned, the trace (shift, lifted vertex, signs)
+    # included, not only u, k, d and t
+    lifted, cubes = _seeded_certificates(300, "w")
+    assert _digest(lifted) == "fa56d6b2e6ede4974b27c93fca794516b5270911aae0ea9a4856ef739f97e34e"
+    assert _digest(cubes) == "6851df388835efcbced9f592760b2f496919ad7682f206fab4a23613b189b546"
