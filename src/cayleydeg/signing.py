@@ -59,7 +59,6 @@ class SignedAdjacency:
     """A symmetric {-1,0,1} matrix with zero diagonal, validated on creation."""
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -93,7 +92,7 @@ class SignedAdjacency:
         )
 
 
-def huang_signing(n: int, cap: int = HUANG_DIMENSION_CAP) -> SignedAdjacency:
+def huang_signing(n: int) -> SignedAdjacency:
     """The recursive signing of the n-dimensional hypercube with M M = n I.
 
     Vertices are bitmasks; block halves split on the most significant bit, so
@@ -102,14 +101,14 @@ def huang_signing(n: int, cap: int = HUANG_DIMENSION_CAP) -> SignedAdjacency:
     """
     if n < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {n}")
-    if n > cap:
-        raise BudgetExceeded(f"hypercube dimension {n} exceeds the cap {cap}")
+    if n > HUANG_DIMENSION_CAP:
+        raise BudgetExceeded(f"hypercube dimension {n} exceeds the cap {HUANG_DIMENSION_CAP}")
     b = np.array([[0, 1], [1, 0]], dtype=np.int8)
     for _ in range(n - 1):
         size = b.shape[0]
         eye = np.eye(size, dtype=np.int8)
         b = np.block([[b, eye], [eye, -b]])
-    return SignedAdjacency(matrix=b, label=f"q{n}")
+    return SignedAdjacency(b)
 
 
 def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
@@ -281,7 +280,7 @@ def signing_search(
     ne = len(edges)
     if ne == 0:
         zero = np.zeros((X.n, X.n), dtype=np.int8)
-        return SearchResult(SignedAdjacency(zero, "empty"), 0.0, 0, "exhaustive")
+        return SearchResult(SignedAdjacency(zero), 0.0, 0, "exhaustive")
 
     if exhaustive:
         if ne > EXHAUSTIVE_EDGE_CAP:
@@ -301,7 +300,7 @@ def signing_search(
                 best_val = val
                 best_bits = bits
         mat = _signing_from_bits(X.n, edges, best_bits)
-        return SearchResult(SignedAdjacency(mat, "search"), best_val, 1 << ne, "exhaustive")
+        return SearchResult(SignedAdjacency(mat), best_val, 1 << ne, "exhaustive")
 
     tasks = [(tuple(edges), X.n, seed, r, budget) for r in range(restarts)]
     outcomes = parallel_map(_climb_worker, tasks, jobs=jobs)
@@ -312,7 +311,7 @@ def signing_search(
         if val > best_val or (val == best_val and bits < best_bits):
             best_val, best_bits = val, bits
     mat = _signing_from_bits(X.n, edges, best_bits)
-    return SearchResult(SignedAdjacency(mat, "search"), best_val, total, "hill-climb")
+    return SearchResult(SignedAdjacency(mat), best_val, total, "hill-climb")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
 from .graphs import VertexSet
-from .groups import FiniteGroup, GeneratingSet, make_generating_set, make_group
+from .groups import FiniteGroup, GeneratingSet, _check_moduli, make_generating_set, make_group
 
 __all__ = [
     "LinearLift",
@@ -53,16 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_LIFT_CAP = 1 << 22
-
-
-def _check_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    for m in moduli:
-        if m < 2:
-            raise ValueError(f"modulus {m} is invalid; every modulus must be >= 2")
-    return moduli
 
 
 def _membership_array(moduli: Sequence[int], U) -> np.ndarray:
@@ -395,12 +385,12 @@ def abelian_witness(
     )
 
 
-def _suite_worker(item: tuple[int, int, int]) -> str:
+def _suite_worker(item: tuple[int, int]) -> str:
     """One randomized instance: build, certify, and describe it on one line."""
-    index, seed, cap = item
+    index, seed = item
     rng = random.Random(f"{seed}:{index}")
     # every 25th instance exercises a larger lift
-    size_target = min(cap, (1 << 20) if index % 25 == 24 else (1 << 16))
+    size_target = (1 << 20) if index % 25 == 24 else (1 << 16)
 
     while True:
         k = rng.randint(1, 3)
@@ -441,8 +431,7 @@ def _suite_worker(item: tuple[int, int, int]) -> str:
     )
 
 
-def random_witness_suite(count: int = 200, seed: int = 0, cap: int = DEFAULT_LIFT_CAP,
-                         jobs: int = 1) -> list[str]:
+def random_witness_suite(count: int = 200, seed: int = 0, jobs: int = 1) -> list[str]:
     """Certify `count` random abelian instances; returns one report line each.
 
     Instance I is derived from (seed, I) alone, so the output is identical
@@ -450,5 +439,5 @@ def random_witness_suite(count: int = 200, seed: int = 0, cap: int = DEFAULT_LIF
     """
     if count < 1:
         raise ValueError("count must be positive")
-    items = [(i, seed, cap) for i in range(count)]
+    items = [(i, seed) for i in range(count)]
     return parallel_map(_suite_worker, items, jobs)

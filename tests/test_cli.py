@@ -1,10 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cayleydeg.cli import main
+from cayleydeg.cli import _build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_build_reports_graph_shape(capsys):
@@ -43,6 +50,14 @@ def test_build_rejects_asymmetric_set(capsys):
     rc = main(["build", "--group", "z6", "--gens", "1"])
     assert rc == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_element_range_errors_come_from_the_library(capsys):
+    assert main(["build", "--group", "z6", "--gens", "9"]) == 2
+    assert "element 9 out of range" in capsys.readouterr().err
+    assert main(["witness", "--group", "z6", "--gens", "1,5,3",
+                 "--subset", "0,1,2,9"]) == 2
+    assert "vertex 9 out of range" in capsys.readouterr().err
 
 
 def test_build_unknown_group(capsys):
@@ -166,6 +181,49 @@ def test_signing_search_exhaustive(capsys):
 
 def test_signing_search_needs_graph(capsys):
     assert main(["signing", "search"]) == 2
+
+
+def test_signing_search_takes_one_graph_source(tmp_path, capsys):
+    path = tmp_path / "q2.json"
+    assert main(["build", "--group", "z2x2", "--gens", "1,2", "--out", str(path)]) == 0
+    assert main(["signing", "search", "--in", str(path), "--exhaustive"]) == 0
+    assert "1.41421356237" in capsys.readouterr().out
+    assert main(["signing", "search", "--graph", "q3", "--in", str(path)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    # an empty --in names a file to read, not a missing graph
+    assert main(["signing", "search", "--in", ""]) == 2
+
+
+def _leaf_parsers(parser, path=()):
+    """(argv prefix, parser) for every subcommand that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_every_leaf_subcommand_has_help_and_a_handler(capsys):
+    leaves = list(_leaf_parsers(_build_parser()))
+    assert len(leaves) == 8
+    for path, leaf in leaves:
+        assert callable(leaf.get_default("func")), path
+        assert main([*path, "--help"]) == 0, path
+        assert capsys.readouterr().out.startswith("usage: cayleydeg " + " ".join(path))
+
+
+def test_module_runs_as_a_script():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleydeg.cli", "witness", "--group", "z6",
+         "--gens", "1,5,3", "--subset", "0,1,2,4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["vertex"], report["k"]) == (1, 2)
 
 
 def test_ci_mode_requires_seed(capsys):

@@ -5,10 +5,12 @@ import importlib
 import io
 import pkgutil
 import re
+import shlex
 import types
 from pathlib import Path
 
 import cayleydeg
+from cayleydeg.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +44,19 @@ def test_readme_quick_start_runs():
     lines = out.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[1].split()[-1] in ("True", "False")
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "cayleydeg", line
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {line}") from None

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from cayleydeg.errors import BudgetExceeded
@@ -40,7 +42,7 @@ def test_cyclic_product_basics():
 
 
 def test_cyclic_product_rejects_bad_moduli():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one modulus"):
         make_group([])
     with pytest.raises(ValueError):
         make_group([4, 1])
@@ -71,6 +73,83 @@ def test_nonassociative_loop_rejected():
     # passes the Latin / identity / inverse layers, dies on associativity
     with pytest.raises(ValueError, match="associat"):
         make_group({"table": NONASSOC_LOOP})
+
+
+def _nonassociative_triples(t):
+    """Every (a, b, c) with (a*b)*c != a*(b*c), by brute force."""
+    n = len(t)
+    return {
+        (a, b, c)
+        for a in range(n) for b in range(n) for c in range(n)
+        if t[t[a][b]][c] != t[a][t[b][c]]
+    }
+
+
+def _switch_intercalate(t, r1, r2, c1, c2):
+    """Swap the entries of the 2x2 Latin subsquare at rows r1, r2 and
+    columns c1, c2 (t[r1][c1] = t[r2][c2] and t[r1][c2] = t[r2][c1])."""
+    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+
+
+def _reported_triple(err):
+    """The (a,s,c) named by a non-associativity error."""
+    return tuple(map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(err.value)).groups()))
+
+
+def test_switched_intercalate_in_a_large_cyclic_table_is_rejected():
+    # Z_300 with one intercalate switched: thousands of non-associative
+    # triples among 27 million, so a sample of triples can miss them all
+    n = 300
+    t = [[(a + b) % n for b in range(n)] for a in range(n)]
+    _switch_intercalate(t, 1, 151, 6, 156)
+    with pytest.raises(ValueError, match="associat") as err:
+        make_group({"table": t})
+    a, s, c = _reported_triple(err)
+    assert t[t[a][s]][c] != t[a][t[s][c]]
+
+
+def test_light_test_matches_a_brute_force_oracle():
+    # loops of order 2..9: a group table under a random relabelling that
+    # fixes the identity, with up to two intercalates switched away from
+    # row and column 0 (which keeps a Latin square with identity 0)
+    from cayleydeg.groups import _check_associative
+
+    bases = [f"z{n}" for n in range(2, 10)] + ["z2x2", "z2x4", "z2x2x2", "z3x3",
+                                                 "d3", "d4", "q8"]
+    tables = {}
+    for spec in bases:
+        G = make_group(spec)
+        tables[spec] = G.translations(range(G.order)).tolist()
+    rng = random.Random(20200329)
+    loops, nonassoc = 1500, 0
+    for trial in range(loops):
+        base = tables[rng.choice(bases)]
+        n = len(base)
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        inv = {p: i for i, p in enumerate(perm)}
+        t = [[perm[base[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            quads = [
+                (r1, r2, c1, c2)
+                for r1 in range(1, n) for r2 in range(r1 + 1, n)
+                for c1 in range(1, n) for c2 in range(c1 + 1, n)
+                if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+            ]
+            if quads:
+                _switch_intercalate(t, *rng.choice(quads))
+        bad = _nonassociative_triples(t)
+        if not bad:
+            _check_associative(np.array(t))
+            assert make_group({"table": t}).order == n
+            continue
+        nonassoc += 1
+        with pytest.raises(ValueError, match="not associative") as err:
+            _check_associative(np.array(t))
+        assert _reported_triple(err) in bad, t
+        with pytest.raises(ValueError):
+            make_group({"table": t})
+    assert 100 <= nonassoc <= loops - 100, nonassoc
 
 
 def test_table_validation_errors():
@@ -291,8 +370,9 @@ def _radix_inv(moduli, a):
 
 
 CYCLIC_PRODUCTS = [[2], [7], [4, 2], [2, 4], [3, 3, 2], [6, 4], [2, 2, 2, 2], [5, 3, 2]]
+# every builtin table passes the exact validation in make_group
 BUILTIN_TABLE_GROUPS = (
-    [f"dihedral:{n}" for n in range(1, 9)]
+    [f"dihedral:{n}" for n in range(1, 13)]
     + [f"sym:{n}" for n in range(1, 6)]
     + [f"alt:{n}" for n in range(1, 6)]
     + ["q8"]
