@@ -18,7 +18,11 @@ through 0.
 
 The exhaustive scan unranks the subsets in lexicographic chunks of 64-bit
 mask words and counts induced degrees with np.bitwise_count, so its memory
-is bounded by the chunk size, not by C(n, s), for any n.
+is bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
+keeps its include/exclude search on an explicit stack, so its depth is not
+bounded by Python's recursion limit.  The heuristic keeps the degree of
+every vertex into the current subset and scores each candidate swap from
+that vector in O(1); at s = n it evaluates the one subset once and stops.
 """
 
 from __future__ import annotations
@@ -222,11 +226,11 @@ def branch_and_bound(
 ) -> BnBOutcome:
     """Sound and complete decision procedure for the threshold question.
 
-    Vertices are branched in index order, include before exclude.  A branch
-    dies when some committed vertex already exceeds target induced degree
-    (degrees only grow as vertices are added) or when the remaining vertices
-    cannot fill the subset.  If the node budget runs out the result is
-    'undecided'.
+    Vertices are branched in index order, include before exclude, on an
+    explicit stack (no recursion, so any n works).  A branch dies when some
+    committed vertex already exceeds target induced degree (degrees only
+    grow as vertices are added) or when the remaining vertices cannot fill
+    the subset.  If the node budget runs out the result is 'undecided'.
     """
     if not 0 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 0..{X.n}")
@@ -239,52 +243,49 @@ def branch_and_bound(
     n = X.n
     degs = [0] * n
     nodes = 0
-    exhausted = False
-
-    def rec(idx: int, count: int, mask: int) -> int | None:
-        nonlocal nodes, exhausted
-        if count == s:
-            return mask
-        if idx == n or count + (n - idx) < s:
-            return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return None
-        nbrs = adj[idx] & mask
-        newdeg = nbrs.bit_count()
-        if newdeg <= target:
-            ok = True
-            bumped = []
-            m = nbrs
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if degs[j] + 1 > target:
-                    ok = False
-                    break
-                bumped.append(j)
-                m ^= low
-            if ok:
-                for j in bumped:
-                    degs[j] += 1
-                degs[idx] = newdeg
-                got = rec(idx + 1, count + 1, mask | (1 << idx))
-                degs[idx] = 0
-                for j in bumped:
-                    degs[j] -= 1
-                if got is not None:
-                    return got
-        if exhausted:
-            return None
-        return rec(idx + 1, count, mask)
-
-    found = rec(0, 0, 0)
-    if found is not None:
-        return BnBOutcome("true", VertexSet(n, found), nodes)
-    if exhausted:
-        return BnBOutcome("undecided", None, nodes)
-    return BnBOutcome("false", None, nodes)
+    # one frame per included vertex, innermost last: (vertex, neighbours
+    # whose degree it raised); excluding a vertex needs no frame
+    stack: list[tuple[int, list[int]]] = []
+    idx = count = mask = 0
+    while count < s:
+        if idx < n and count + (n - idx) >= s:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return BnBOutcome("undecided", None, nodes)
+            nbrs = adj[idx] & mask
+            newdeg = nbrs.bit_count()
+            if newdeg <= target:
+                bumped = []
+                m = nbrs
+                while m:
+                    low = m & -m
+                    j = low.bit_length() - 1
+                    if degs[j] + 1 > target:
+                        break
+                    bumped.append(j)
+                    m ^= low
+                if not m:  # every neighbour stays within target: include
+                    for j in bumped:
+                        degs[j] += 1
+                    degs[idx] = newdeg
+                    stack.append((idx, bumped))
+                    mask |= 1 << idx
+                    count += 1
+                    idx += 1
+                    continue
+            idx += 1  # exclude
+            continue
+        # dead end: undo the innermost inclusion and take its exclude branch
+        if not stack:
+            return BnBOutcome("false", None, nodes)
+        j, bumped = stack.pop()
+        degs[j] = 0
+        for b in bumped:
+            degs[b] -= 1
+        mask ^= 1 << j
+        count -= 1
+        idx = j + 1
+    return BnBOutcome("true", VertexSet(n, mask), nodes)
 
 
 def heuristic_search(
@@ -295,10 +296,19 @@ def heuristic_search(
 ) -> ExtremalResult:
     """Seeded local search over size-s subsets; an upper bound on f.
 
-    Each step scores every single swap (one vertex out, one in) by the pair
-    (induced max degree, induced degree sum) and moves to the best strict
-    improvement of that pair; restarts from fresh random subsets until the
-    evaluation budget is spent.  Deterministic for a fixed seed.
+    Each step scores every single swap (one member u out, one non-member w
+    in, both ascending) by the pair (induced max degree, induced degree sum)
+    and moves to the first best strict improvement of that pair; restarts
+    from fresh random subsets until the evaluation budget is spent.
+    Deterministic for a fixed seed.
+
+    A swap is scored in O(1) from the degree vector deg[v] = |adj(v) & U|,
+    kept for every vertex and updated in O(n) per move.  Once per u, top is
+    the largest deg[x] - [x~u] over the other members x and reach holds the
+    x that attain it; the swap then has max degree
+    max(top + [adj(w) & reach != 0], deg[w] - [w~u]) and degree sum
+    sum(U) - 2 deg[u] + 2 (deg[w] - [w~u]).  At s = n the only subset is
+    evaluated once.
     """
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
@@ -307,63 +317,65 @@ def heuristic_search(
     rng = random.Random(seed)
     adj = X.adj_masks
     n = X.n
-
-    def score(mask: int) -> tuple[int, int]:
-        top = 0
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            dv = (adj[v] & mask).bit_count()
-            total += dv
-            if dv > top:
-                top = dv
-            m ^= low
-        return top, total
+    # a score (max degree, degree sum) is kept as top * scale + sum: a degree
+    # sum is below n * n, so integer order is the order of the pairs
+    scale = n * n
 
     evals = 0
-    best_val: int | None = None
+    best_top = n  # above every induced degree
     best_mask = 0
 
     while evals < budget:
-        members = rng.sample(range(n), s)
         mask = 0
-        for v in members:
+        for v in rng.sample(range(n), s):
             mask |= 1 << v
-        cur = score(mask)
+        deg = [(a & mask).bit_count() for a in adj]
+        members = [v for v in range(n) if mask >> v & 1]
+        cur = max(deg[v] for v in members) * scale + sum(deg[v] for v in members)
         evals += 1
-        if best_val is None or cur[0] < best_val:
-            best_val, best_mask = cur[0], mask
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            move_best: tuple[int, int] | None = None
-            move_mask = 0
-            for u in range(n):
-                if not (mask >> u) & 1:
-                    continue
-                without = mask & ~(1 << u)
-                for w in range(n):
-                    if (mask >> w) & 1:
-                        continue
-                    cand_mask = without | (1 << w)
-                    cand = score(cand_mask)
-                    evals += 1
-                    if move_best is None or cand < move_best:
-                        move_best = cand
-                        move_mask = cand_mask
-                    if evals >= budget:
-                        break
+        if cur // scale < best_top:
+            best_top, best_mask = cur // scale, mask
+        if s == n:
+            break
+        while evals < budget:
+            outs = [w for w in range(n) if not mask >> w & 1]
+            move = -1  # no candidate scored yet (scores are >= 0)
+            for u in members:
+                au = adj[u]
+                top = reach = 0
+                for x in members:
+                    if x != u:
+                        d = deg[x] - (au >> x & 1)
+                        if d > top:
+                            top, reach = d, 1 << x
+                        elif d == top:
+                            reach |= 1 << x
+                base = cur % scale - 2 * deg[u]
+                ws = outs[: budget - evals]  # the budget may end the sweep here
+                for w in ws:
+                    aw = adj[w]
+                    dw = deg[w] - (aw >> u & 1)
+                    t = top + 1 if aw & reach else top
+                    key = (dw if dw > t else t) * scale + base + 2 * dw
+                    if move < 0 or key < move:
+                        move, move_out, move_in = key, u, w
+                evals += len(ws)
                 if evals >= budget:
                     break
-            if move_best is not None and move_best < cur:
-                mask, cur = move_mask, move_best
-                improved = True
-                if cur[0] < best_val:
-                    best_val, best_mask = cur[0], mask
+            if move >= cur:
+                break
+            mask ^= (1 << move_out) | (1 << move_in)
+            for a, step in ((adj[move_out], -1), (adj[move_in], 1)):
+                while a:
+                    low = a & -a
+                    deg[low.bit_length() - 1] += step
+                    a ^= low
+            members = [v for v in range(n) if mask >> v & 1]
+            cur = move
+            if cur // scale < best_top:
+                best_top, best_mask = cur // scale, mask
 
-    return ExtremalResult(s, int(best_val), VertexSet(n, best_mask), "heuristic", False)
+    return ExtremalResult(s, best_top, VertexSet(n, best_mask), "heuristic", False)
 
 
 @dataclass(frozen=True)

@@ -138,24 +138,30 @@ def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
         rows.append(row)
     t = tuple(rows)
+    arr = np.array(t, dtype=np.intp)
+    idx = np.arange(n)
 
-    full = frozenset(range(n))
-    for i in range(n):
-        if frozenset(t[i]) != full:
-            raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
-        if frozenset(t[j][i] for j in range(n)) != full:
-            raise ValueError(f"table column {i} is not a permutation of 0..{n - 1}")
+    # Latin square: the first bad line, row i before column i
+    seen = np.zeros((n, n), dtype=bool)
+    seen[idx[:, None], arr] = True  # seen[i, v]: v occurs in row i
+    row_ok = seen.all(axis=1)
+    seen.fill(False)
+    seen[arr, idx] = True  # seen[v, j]: v occurs in column j
+    bad = np.flatnonzero(~(row_ok & seen.all(axis=0)))
+    if bad.size:
+        i = int(bad[0])
+        line = "row" if not row_ok[i] else "column"
+        raise ValueError(f"table {line} {i} is not a permutation of 0..{n - 1}")
 
-    for a in range(n):
-        if t[0][a] != a or t[a][0] != a:
-            raise ValueError("index 0 does not act as a two-sided identity")
+    if (arr[0] != idx).any() or (arr[:, 0] != idx).any():
+        raise ValueError("index 0 does not act as a two-sided identity")
 
-    for a in range(n):
-        right = next(b for b in range(n) if t[a][b] == 0)
-        if t[right][a] != 0:
-            raise ValueError(f"element {a} has no two-sided inverse")
+    right = np.nonzero(arr == 0)[1]  # a * right[a] = 0, one per row
+    bad = np.flatnonzero(arr[right, idx] != 0)
+    if bad.size:
+        raise ValueError(f"element {int(bad[0])} has no two-sided inverse")
 
-    _check_associative(np.array(t, dtype=np.intp))
+    _check_associative(arr)
     return t
 
 

@@ -1,6 +1,7 @@
 """Tests for exact subset-degree minimization and the bound-checking scan."""
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -24,7 +25,13 @@ from cayleydeg.extremal import (
     scan,
     verify_conjecture,
 )
-from cayleydeg.graphs import Graph, build_cayley, builtin_graph, induced_max_degree
+from cayleydeg.graphs import (
+    Graph,
+    VertexSet,
+    build_cayley,
+    builtin_graph,
+    induced_max_degree,
+)
 from cayleydeg.groups import (
     GeneratingSet,
     enumerate_symmetric_generating_sets,
@@ -274,6 +281,207 @@ def test_oracle_agreement_suite_runs():
     assert len(lines) == 6
     assert lines == oracle_agreement_suite(count=6, seed=0, jobs=2)
     assert all(line.startswith("g=") and " f=" in line for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# reference heuristic and branch-and-bound: the from-scratch swap scoring and
+# the recursive search, kept as oracles for the incremental and stack forms
+
+
+def _reference_heuristic(X, s, seed=0, budget=10_000):
+    """heuristic_search with every candidate swap scored from scratch."""
+    rng = random.Random(seed)
+    adj = X.adj_masks
+    n = X.n
+
+    def score(mask):
+        top = 0
+        total = 0
+        m = mask
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            dv = (adj[v] & mask).bit_count()
+            total += dv
+            if dv > top:
+                top = dv
+            m ^= low
+        return top, total
+
+    evals = 0
+    best_val = None
+    best_mask = 0
+    while evals < budget:
+        members = rng.sample(range(n), s)
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        cur = score(mask)
+        evals += 1
+        if best_val is None or cur[0] < best_val:
+            best_val, best_mask = cur[0], mask
+        improved = True
+        while improved and evals < budget:
+            improved = False
+            move_best = None
+            move_mask = 0
+            for u in range(n):
+                if not (mask >> u) & 1:
+                    continue
+                without = mask & ~(1 << u)
+                for w in range(n):
+                    if (mask >> w) & 1:
+                        continue
+                    cand_mask = without | (1 << w)
+                    cand = score(cand_mask)
+                    evals += 1
+                    if move_best is None or cand < move_best:
+                        move_best = cand
+                        move_mask = cand_mask
+                    if evals >= budget:
+                        break
+                if evals >= budget:
+                    break
+            if move_best is not None and move_best < cur:
+                mask, cur = move_mask, move_best
+                improved = True
+                if cur[0] < best_val:
+                    best_val, best_mask = cur[0], mask
+    return best_val, best_mask
+
+
+def _recursive_bnb(X, s, target, node_budget=None):
+    """branch_and_bound as a recursion: (status, witness mask, nodes)."""
+    if s == 0:
+        return "true", 0, 0
+    adj = X.adj_masks
+    n = X.n
+    degs = [0] * n
+    nodes = 0
+    exhausted = False
+
+    def rec(idx, count, mask):
+        nonlocal nodes, exhausted
+        if count == s:
+            return mask
+        if idx == n or count + (n - idx) < s:
+            return None
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exhausted = True
+            return None
+        nbrs = adj[idx] & mask
+        newdeg = nbrs.bit_count()
+        if newdeg <= target:
+            ok = True
+            bumped = []
+            m = nbrs
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if degs[j] + 1 > target:
+                    ok = False
+                    break
+                bumped.append(j)
+                m ^= low
+            if ok:
+                for j in bumped:
+                    degs[j] += 1
+                degs[idx] = newdeg
+                got = rec(idx + 1, count + 1, mask | (1 << idx))
+                degs[idx] = 0
+                for j in bumped:
+                    degs[j] -= 1
+                if got is not None:
+                    return got
+        if exhausted:
+            return None
+        return rec(idx + 1, count, mask)
+
+    found = rec(0, 0, 0)
+    if found is not None:
+        return "true", found, nodes
+    return ("undecided" if exhausted else "false"), None, nodes
+
+
+HEURISTIC_BUDGETS = (1, 2, 3, 7, 50, 400, 1000)
+
+
+def test_heuristic_matches_from_scratch_reference():
+    # every (n, s) with n <= 40, three graphs each; the budgets cut the
+    # search at the first evaluation, mid-sweep and after many restarts
+    rng = random.Random(909)
+    graphs = 0
+    for n in range(1, 41):
+        for s in range(1, n + 1):
+            for k in range(3):
+                X = _random_graph(rng, n)
+                budget = HEURISTIC_BUDGETS[(n + s + k) % len(HEURISTIC_BUDGETS)]
+                seed = rng.randrange(1 << 30)
+                got = heuristic_search(X, s, seed=seed, budget=budget)
+                f, mask = _reference_heuristic(X, s, seed=seed, budget=budget)
+                assert got == extremal.ExtremalResult(
+                    s, f, VertexSet(n, mask), "heuristic", False
+                ), (n, s, budget, seed)
+                graphs += 1
+    assert graphs >= 2000
+
+
+def test_heuristic_evaluates_the_only_subset_once(monkeypatch):
+    calls = []
+    sample = random.Random.sample
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    X = builtin_graph("petersen")
+    for budget in (1, 2, 400, 10_000):
+        calls.clear()
+        res = heuristic_search(X, X.n, seed=5, budget=budget)
+        assert len(calls) == 1
+        assert (res.f_value, res.witness_subset.mask) == (3, (1 << X.n) - 1)
+
+
+# sha256 of "\n".join(oracle_agreement_suite(100, seed=0)): exact f, the
+# branch-and-bound checks and every heuristic value h
+ORACLE_100_SHA256 = "798c732d34f814766c59283af22ff34efc47b887560c873fb938178d6305ca6d"
+
+
+def test_oracle_suite_lines_are_pinned():
+    lines = oracle_agreement_suite(100, seed=0)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_100_SHA256
+
+
+def _oracle_graph(index, seed=0):
+    """The graph oracle_agreement_suite draws for one index."""
+    rng = random.Random(f"{seed}:{index}")
+    n = rng.randint(4, 12)
+    p = rng.uniform(0.2, 0.7)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_branch_and_bound_matches_recursive_reference():
+    for index in range(100):
+        X = _oracle_graph(index)
+        for s in range(X.n + 1):
+            for target in range(s + 1):
+                for node_budget in (None, 1, 2, 5, 17):
+                    out = branch_and_bound(X, s, target, node_budget)
+                    mask = None if out.witness is None else out.witness.mask
+                    assert (out.status, mask, out.nodes) == _recursive_bnb(
+                        X, s, target, node_budget
+                    ), (index, s, target, node_budget)
+
+
+def test_branch_and_bound_runs_past_the_recursion_limit():
+    n = 1500
+    out = branch_and_bound(Graph(n, []), n, 0)
+    assert (out.status, out.witness.mask, out.nodes) == ("true", (1 << n) - 1, n)
+    # the last vertex cannot join: every inclusion is undone, deepest first
+    out = branch_and_bound(Graph(n, [(n - 2, n - 1)]), n, 0)
+    assert out.status == "false" and out.witness is None
 
 
 def test_heuristic_rejects_a_budget_below_one():

@@ -161,6 +161,117 @@ def test_table_validation_errors():
         make_group({"table": [[0, 1, 2], [1, 2, 0]]})  # not square
 
 
+def _reference_validate_table(table):
+    """The Latin, identity and inverse checks as Python loops over the rows
+    and columns, then Light's test."""
+    from cayleydeg.groups import _check_associative
+
+    n = len(table)
+    if n == 0:
+        raise ValueError("multiplication table is empty")
+    rows = []
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValueError(f"table entry {v!r} in row {i} is out of range")
+        rows.append(row)
+    t = tuple(rows)
+    full = frozenset(range(n))
+    for i in range(n):
+        if frozenset(t[i]) != full:
+            raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
+        if frozenset(t[j][i] for j in range(n)) != full:
+            raise ValueError(f"table column {i} is not a permutation of 0..{n - 1}")
+    for a in range(n):
+        if t[0][a] != a or t[a][0] != a:
+            raise ValueError("index 0 does not act as a two-sided identity")
+    for a in range(n):
+        right = next(b for b in range(n) if t[a][b] == 0)
+        if t[right][a] != 0:
+            raise ValueError(f"element {a} has no two-sided inverse")
+    _check_associative(np.array(t, dtype=np.intp))
+    return t
+
+
+def _corrupt(rng, t):
+    """One random defect (or none) in a copy of the table t."""
+    t = [list(row) for row in t]
+    n = len(t)
+    kind = rng.randrange(9)
+    r, c = rng.randrange(n), rng.randrange(n)
+    if kind == 0:  # one entry overwritten: a row and a column repeat a value
+        t[r][c] = rng.randrange(n)
+    elif kind == 1 and n > 1:  # two entries of a row swapped: columns break
+        c2 = rng.randrange(n)
+        t[r][c], t[r][c2] = t[r][c2], t[r][c]
+    elif kind == 2:  # two rows swapped: a Latin square, identity moved
+        r2 = rng.randrange(n)
+        t[r], t[r2] = t[r2], t[r]
+    elif kind == 3:  # relabelled without fixing 0
+        perm = rng.sample(range(n), n)
+        t = [[perm[v] for v in row] for row in t]
+    elif kind == 4:  # intercalates switched away from row and column 0
+        for _ in range(rng.randint(1, 3)):
+            quads = [
+                (r1, r2, c1, c2)
+                for r1 in range(1, n) for r2 in range(r1 + 1, n)
+                for c1 in range(1, n) for c2 in range(c1 + 1, n)
+                if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+            ]
+            if quads:
+                _switch_intercalate(t, *rng.choice(quads))
+    elif kind == 5:  # a bad entry: out of range, negative, float or numpy int
+        t[r][c] = rng.choice([n, -1, float(t[r][c]), np.int64(t[r][c]), "0"])
+    elif kind == 6:  # an int subclass: valid
+        t[r][c] = bool(t[r][c]) if t[r][c] < 2 else t[r][c]
+    elif kind == 7:  # a ragged row
+        t[r] = t[r][:-1] if rng.random() < 0.5 else t[r] + [0]
+    return t
+
+
+def test_table_validation_matches_the_loop_reference():
+    from cayleydeg.groups import _validate_table
+
+    bases = ["z2", "z3", "z4", "z5", "z6", "z2x2", "z8", "z3x3", "z2x2x2",
+             "d3", "d4", "d5", "q8", "a4"]
+    tables = []
+    for spec in bases:
+        G = make_group(spec)
+        tables.append(G.translations(range(G.order)).tolist())
+    tables += [[[0]], NONASSOC_LOOP]
+    rng = random.Random(1729)
+    seen = set()
+    for trial in range(3000):
+        t = _corrupt(rng, rng.choice(tables))
+        try:
+            want = _reference_validate_table(t)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                _validate_table(t)
+            assert str(err.value) == str(exc), t
+            seen.add(re.sub(r"\d+", "#", str(exc)))
+            continue
+        assert _validate_table(t) == want
+        seen.add("valid")
+    assert seen == {
+        "valid",
+        "table row # has length #, expected #",
+        "table entry # in row # is out of range",
+        "table entry -# in row # is out of range",
+        "table entry #.# in row # is out of range",
+        "table entry '#' in row # is out of range",
+        "table entry np.int#(#) in row # is out of range",
+        "table row # is not a permutation of #..#",
+        "table column # is not a permutation of #..#",
+        "index # does not act as a two-sided identity",
+        "element # has no two-sided inverse",
+        "table is not associative at (#,#,#)",
+    }, seen
+
+
 def test_custom_table_accepted():
     # Z3 given explicitly as a table
     G = make_group({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
