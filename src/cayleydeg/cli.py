@@ -48,7 +48,7 @@ from .signing import (
     spectrum_to_csv,
     verify_signing,
 )
-from .witness import abelian_witness
+from .witness import DEFAULT_LIFT_CAP, abelian_witness
 
 __all__ = ["main", "entry", "RunConfig"]
 
@@ -133,27 +133,14 @@ def _parse_subset(G: FiniteGroup, text: str) -> list[int]:
             raise ValueError("subset file must hold a JSON list")
         out = []
         for entry in data:
-            if isinstance(entry, int):
+            if type(entry) is int:
                 out.append(entry)
-            elif isinstance(entry, list):
+            elif isinstance(entry, list) and all(type(x) is int for x in entry):
                 out.append(G.encode(entry))
             else:
                 raise ValueError(f"bad subset entry {entry!r}")
         return out
     return _parse_elements(G, text)
-
-
-def _graph_from_name(name: str):
-    """Catalog graphs plus qN hypercubes."""
-    s = name.strip().lower()
-    if s.startswith("q") and s[1:].isdigit():
-        n = int(s[1:])
-        if not 1 <= n <= 12:
-            raise ValueError(f"hypercube dimension {n} out of range 1..12")
-        G = make_group([2] * n)
-        S = make_generating_set(G, [1 << i for i in range(n)])
-        return build_cayley(G, S).graph
-    return builtin_graph(s)
 
 
 def _write_or_print(path: Path | None, text: str) -> None:
@@ -288,7 +275,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
     if args.infile is not None:
         X = import_graph(Path(args.infile).read_text(), "json")
     else:
-        X = _graph_from_name(args.graph)
+        X = builtin_graph(args.graph)
     res = signing_search(
         X,
         seed=cfg.seed,
@@ -331,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--group", required=True)
     w.add_argument("--gens", required=True)
     w.add_argument("--subset", required=True, help="element tokens, or @file with a JSON list")
-    w.add_argument("--cap", type=int, default=1 << 22, help="lift size cap")
+    w.add_argument("--cap", type=int, default=DEFAULT_LIFT_CAP, help="lift size cap")
     w.add_argument("--out", default=None)
     w.set_defaults(func=cmd_witness)
 
@@ -372,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gr = gsub.add_parser("search", help="search signings for large smallest eigenvalue modulus")
     source = gr.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="catalog graph or qN hypercube")
+    source.add_argument("--graph", help="catalog graph")
     source.add_argument("--in", dest="infile", help="graph JSON file")
     gr.add_argument("--exhaustive", action="store_true")
     gr.add_argument("--budget", type=int, default=2000)

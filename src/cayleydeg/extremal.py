@@ -481,26 +481,22 @@ def abelian_scan_items(
     max_order: int, min_order: int = 2, max_size: int | None = None
 ) -> list[tuple]:
     """Scan items for every symmetric generating set of every cyclic-product
-    group with order in range.
+    group with order in range (see named_group_scan_items)."""
+    moduli = [list(m) for m in iter_abelian_moduli(max_order, min_order)]
+    return named_group_scan_items(moduli, max_size=max_size)
+
+
+def named_group_scan_items(specs: Sequence, max_size: int | None = None) -> list[tuple]:
+    """Scan items for every symmetric generating set of each group spec (a
+    name or a moduli list, as make_group takes).
 
     A Cayley item is ("cayley", G, S) with G a FiniteGroup and S the
     GeneratingSet that enumerate_symmetric_generating_sets built, valid by
     construction; a catalog graph item is ("graph", name).
     """
     items = []
-    for moduli in iter_abelian_moduli(max_order, min_order):
-        G = make_group(list(moduli))
-        for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G, S))
-    return items
-
-
-def named_group_scan_items(names: Sequence[str], max_size: int | None = None) -> list[tuple]:
-    """Cayley scan items (see abelian_scan_items) for every symmetric
-    generating set of each named group."""
-    items = []
-    for name in names:
-        G = make_group(name)
+    for spec in specs:
+        G = make_group(spec)
         for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
             items.append(("cayley", G, S))
     return items

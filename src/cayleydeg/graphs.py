@@ -1,16 +1,20 @@
 """Simple undirected graphs, Cayley graph construction, vertex subsets,
-induced degree queries, a counterexample family, and DOT/JSON serialization.
+induced degree queries, a counterexample family, a catalog of named graphs,
+and DOT/JSON serialization.
 
 Vertices are indices 0..n-1.  Adjacency is kept once, as one integer
 bitmask per vertex: induced-subgraph degree counting is a popcount, and
 neighbor lists, degrees, edges and components are read off the masks.
+Graph and VertexSet are frozen dataclasses.  builtin_graph is the one catalog
+behind every CLI --graph flag, and _json_records reads graph and signing JSON,
+whose entries must be lists of ints.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -33,25 +37,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """An immutable subset of 0..n-1 backed by an integer bitmask."""
 
-    __slots__ = ("n", "mask")
+    n: int
+    mask: int = 0
 
-    def __init__(self, n: int, mask: int = 0):
-        if n < 0:
+    def __post_init__(self):
+        if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if mask < 0 or mask >> n:
+        if self.mask < 0 or self.mask >> self.n:
             raise ValueError("mask has bits outside 0..n-1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *_):
-        raise AttributeError("VertexSet is immutable")
-
-    def __reduce__(self):
-        # slots plus the setattr guard defeat default pickling
-        return (VertexSet, (self.n, self.mask))
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
@@ -82,16 +79,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self.size
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
     def __repr__(self) -> str:
         return f"VertexSet({self.n}, {{{','.join(map(str, self.members()))}}})"
 
@@ -114,10 +101,13 @@ def _as_vertex_set(n: int, U) -> VertexSet:
     return VertexSet.from_members(n, U)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Graph:
     """An undirected simple graph; adj_masks[v] has bit u set when u ~ v."""
 
-    __slots__ = ("n", "adj_masks", "edge_count")
+    n: int
+    adj_masks: tuple[int, ...]
+    edge_count: int = field(compare=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -138,12 +128,6 @@ class Graph:
         object.__setattr__(self, "adj_masks", tuple(masks))
         object.__setattr__(self, "edge_count", count)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.edges()))
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bit_indices(self.adj_masks[v]))
 
@@ -159,16 +143,6 @@ class Graph:
 
     def is_regular(self) -> bool:
         return len({m.bit_count() for m in self.adj_masks}) <= 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.adj_masks == other.adj_masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj_masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -325,10 +299,13 @@ def counterexample_checks(inst: CounterexampleInstance) -> dict[str, bool]:
 
 
 def builtin_graph(name: str) -> Graph:
-    """Catalog graphs: ``petersen``, ``cycle:m``, ``complete:m``.
+    """Catalog graphs: ``petersen``, ``cycle:m``, ``complete:m``, and the
+    hypercube ``qN`` for 1 <= N <= 12.
 
     The Petersen graph uses the fixed ordering with outer 5-cycle 0..4,
-    spokes i -- i+5, and inner edges (i+5) -- ((i+2) mod 5 + 5).
+    spokes i -- i+5, and inner edges (i+5) -- ((i+2) mod 5 + 5).  The
+    vertices of qN are the N-bit masks, with u -- u xor 2^i: the Cayley
+    graph of Z_2^N with its standard basis.
     """
     s = name.strip().lower()
     if s == "petersen":
@@ -336,6 +313,13 @@ def builtin_graph(name: str) -> Graph:
         edges += [(i, i + 5) for i in range(5)]
         edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
         return Graph(10, edges)
+    if s[:1] == "q" and s[1:].isdigit():
+        dim = int(s[1:])
+        if not 1 <= dim <= 12:
+            raise ValueError(f"hypercube dimension {dim} out of range 1..12")
+        size = 1 << dim
+        edges = [(u, u | 1 << i) for u in range(size) for i in range(dim) if not u >> i & 1]
+        return Graph(size, edges)
     head, _, arg = s.partition(":")
     if head in ("cycle", "complete") and arg:
         try:
@@ -372,6 +356,26 @@ def export_graph(X: Graph, format: str = "json") -> bytes:
     raise ValueError(f"unknown graph format {format!r}")
 
 
+def _json_records(text: str, kind: str, key: str, width: int) -> tuple[int, list[list[int]]]:
+    """N and the entries of ``{"n": N, key: [[i, ...], ...]}``, each entry a
+    list of `width` ints (not bools); ranges are left to the caller."""
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "n" not in obj or key not in obj:
+        raise ValueError(f"{kind} JSON must be an object with 'n' and '{key}'")
+    n, entries = obj["n"], obj[key]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"bad vertex count {n!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"{kind} JSON '{key}' must be a list, got {type(entries).__name__}")
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == width and all(type(x) is int for x in e)):
+            raise ValueError(f"malformed {key[:-1]} entry {e!r}")
+    return n, entries
+
+
 _DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)$")
 _DOT_VERT = re.compile(r"^(\d+)$")
 
@@ -381,21 +385,7 @@ def import_graph(data: bytes | str, format: str = "json") -> Graph:
     text = data.decode() if isinstance(data, bytes) else data
     fmt = format.lower()
     if fmt == "json":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed graph JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-            raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-        n = obj["n"]
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"bad vertex count {n!r}")
-        edges = []
-        for e in obj["edges"]:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValueError(f"malformed edge entry {e!r}")
-            edges.append((e[0], e[1]))
-        return Graph(n, edges)
+        return Graph(*_json_records(text, "graph", "edges", 2))
     if fmt == "dot":
         body = text.strip()
         if not body.startswith("graph") or not body.endswith("}"):

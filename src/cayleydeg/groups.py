@@ -31,9 +31,11 @@ __all__ = [
     "make_generating_set",
     "enumerate_symmetric_generating_sets",
     "MAX_GROUP_ORDER",
+    "ENUMERATION_UNIT_CAP",
 ]
 
 MAX_GROUP_ORDER = 10_000
+ENUMERATION_UNIT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,6 @@ def make_generating_set(
 def enumerate_symmetric_generating_sets(
     G: FiniteGroup,
     max_size: int | None = None,
-    cap: int = 24,
 ) -> Iterator[GeneratingSet]:
     """Yield every symmetric generating set of G with at most max_size elements.
 
@@ -454,17 +455,17 @@ def enumerate_symmetric_generating_sets(
     are ordered involutions first (ascending), then pairs (by smaller member),
     and subsets are visited in increasing binary-counter order over that unit
     list, which makes the output order deterministic.  The walk visits
-    2^u - 1 subsets for u units; more than cap units raise BudgetExceeded
-    before any subset is visited.
+    2^u - 1 subsets for u units; more than ENUMERATION_UNIT_CAP units raise
+    BudgetExceeded before any subset is visited.
     """
     inv = G.inverses.tolist()
     units: list[tuple[int, ...]] = [(x,) for x in range(1, G.order) if inv[x] == x]
     units += [(x, inv[x]) for x in range(1, G.order) if x < inv[x]]
     u = len(units)
-    if u > cap:
+    if u > ENUMERATION_UNIT_CAP:
         raise BudgetExceeded(
             f"{G.name} has {u} involutions and inverse pairs; walking their "
-            f"2^{u} - 1 subsets exceeds the enumeration cap of {cap} units"
+            f"2^{u} - 1 subsets exceeds the enumeration cap of {ENUMERATION_UNIT_CAP} units"
         )
     rows = G.translations(range(G.order))
     limit = max_size if max_size is not None else G.order

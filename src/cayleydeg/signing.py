@@ -13,6 +13,8 @@ operations after one scan for the nonzeros.
 
 Eigenvalues come from LAPACK through numpy (eigvalsh).  The tests compare
 them against an independent cyclic Jacobi solver kept in the test suite.
+
+Signing JSON is read by the record reader of graph JSON (cayleydeg.graphs).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
-from .graphs import Graph
+from .graphs import Graph, _json_records
 
 __all__ = [
     "SignedAdjacency",
@@ -111,6 +113,13 @@ def huang_signing(n: int) -> SignedAdjacency:
     return SignedAdjacency(b)
 
 
+def _square_size(mat: np.ndarray, caller: str) -> int:
+    """The size of a square 2-D array; ValueError naming the caller otherwise."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{caller} requires a square matrix, got shape {mat.shape}")
+    return mat.shape[0]
+
+
 def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
     """Exact integer check that M M = c I.  No floating point is involved.
 
@@ -120,9 +129,7 @@ def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     if not np.issubdtype(mat.dtype, np.integer):
         raise ValueError("verify_signing requires an integer matrix")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"verify_signing requires a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
+    n = _square_size(mat, "verify_signing")
     rows, cols = np.nonzero(mat)  # row-major, so grouped by row
     vals = mat[rows, cols].astype(np.int64)
     deg = np.bincount(rows, minlength=n)
@@ -174,11 +181,12 @@ class Spectrum:
 def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
     """Eigenvalues of a signed adjacency matrix, from LAPACK (eigvalsh).
 
-    Sizes up to SPECTRUM_SIZE_CAP are supported.  Raises RuntimeError if the
-    eigensolver fails to converge.
+    Sizes up to SPECTRUM_SIZE_CAP are supported.  Input that is not a square
+    2-D array raises ValueError, as in verify_signing; RuntimeError means the
+    eigensolver failed to converge.
     """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
-    n = mat.shape[0]
+    n = _square_size(mat, "spectrum")
     if n > SPECTRUM_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
     if n == 0:
@@ -325,20 +333,10 @@ def signing_to_json(M: SignedAdjacency) -> str:
 
 
 def signing_from_json(text: str) -> SignedAdjacency:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed signing JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "n" not in obj or "signs" not in obj:
-        raise ValueError("signing JSON must be an object with 'n' and 'signs'")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"bad vertex count {n!r}")
+    """Parse the output of signing_to_json; every entry must be three ints."""
+    n, signs = _json_records(text, "signing", "signs", 3)
     m = np.zeros((n, n), dtype=np.int8)
-    for entry in obj["signs"]:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ValueError(f"malformed sign entry {entry!r}")
-        u, v, s = entry
+    for u, v, s in signs:
         if not 0 <= u < n or not 0 <= v < n or u == v:
             raise ValueError(f"bad edge ({u},{v})")
         if s not in (-1, 1):

@@ -30,14 +30,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
-from .graphs import VertexSet
+from .graphs import VertexSet, _as_vertex_set
 from .groups import FiniteGroup, GeneratingSet, _check_moduli, make_generating_set, make_group
 
 __all__ = [
@@ -63,7 +63,7 @@ def _membership_array(moduli: Sequence[int], U) -> np.ndarray:
             raise ValueError(f"membership array has {U.size} entries, expected {n}")
         ind = (U.reshape(n) != 0).astype(np.int8)
     else:
-        members = U.members() if isinstance(U, VertexSet) else list(U)
+        members = _as_vertex_set(n, U).members() if isinstance(U, VertexSet) else list(U)
         ind = np.zeros(n, dtype=np.int8)
         for v in members:
             if not 0 <= v < n:
@@ -145,22 +145,7 @@ class WitnessReport:
     checks: dict
 
     def to_json(self) -> str:
-        obj = {
-            "vertex": self.vertex,
-            "neighbors": list(self.neighbors),
-            "k": self.k,
-            "d": self.d,
-            "t": self.t,
-            "bound_satisfied": self.bound_satisfied,
-            "trace": {
-                "shift": self.trace["shift"],
-                "cube_points": self.trace["cube_points"],
-                "lifted_vertex": self.trace["lifted_vertex"],
-                "signs": [[i, s] for i, s in self.trace["signs"]],
-            },
-            "checks": dict(self.checks),
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
@@ -324,7 +309,7 @@ def abelian_witness(
     """
     if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
-    U = U if isinstance(U, VertexSet) else VertexSet.from_members(G.order, U)
+    U = _as_vertex_set(G.order, U)
     if 2 * U.size <= G.order:
         raise ValueError(
             f"subset has {U.size} of {G.order} vertices; a strict majority is required"

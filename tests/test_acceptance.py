@@ -35,6 +35,8 @@ SCAN_GROUPS = ["s3", "d4", "q8", "d5", "a4"]
 # sha256 of the criterion 1 CSV (35,277 rows), which every engine change must
 # reproduce byte for byte
 CRITERION_1_SHA256 = "d8e4b34400c5152ec323b20f273e46aa70f8e4faef8677657e8bd1d4bcfd6fab"
+# sha256 of the criterion 2 report lines, joined by newlines
+CRITERION_2_SHA256 = "b805b38540f0682c6ab03b2be8d570cf02203d70636da1cb019a08db7eb8cc54"
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -88,7 +90,11 @@ def test_criterion_1_abelian_exhaustive_bound():
 
 def test_criterion_2_witness_suite(witness_lines_j1):
     lines = witness_lines_j1
-    ok = len(lines) == 1000 and all(line.endswith("ok") for line in lines)
+    ok = (
+        len(lines) == 1000
+        and all(line.endswith("ok") for line in lines)
+        and hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRITERION_2_SHA256
+    )
     _report(2, ok, "1000 random instances certified with exact integer checks")
 
 

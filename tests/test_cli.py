@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cayleydeg.cli import _build_parser, main
+from cayleydeg.witness import DEFAULT_LIFT_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -280,3 +281,45 @@ def test_scan_finding_outranks_instance_errors(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "weak-bound failures: 1" in err and "instance error: dihedral:8[" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["signing", "search", "--in"], '{"n":3,"edges":[["a",1]]}'),
+        (["signing", "verify", "--c", "1", "--in"], '{"n":3,"signs":[[0,1.0,1]]}'),
+        (["signing", "search", "--in"], '{"n":true,"edges":[]}'),
+        (["signing", "verify", "--c", "1", "--in"], '{"n":true,"signs":[]}'),
+        (["signing", "search", "--in"], "null"),
+        (["signing", "spectrum", "--in"], "null"),
+        (["signing", "search", "--in"], '{"n":3,"edges":null}'),
+        (["signing", "verify", "--c", "1", "--in"], '{"n":3,"signs":[null]}'),
+        (["signing", "search", "--in"], '{"n":3,"edges":[[[0],1]]}'),
+        (["signing", "spectrum", "--in"], '{"n":3,"signs":[[[0],1,1]]}'),
+        pytest.param(["signing", "verify", "--c", "1", "--in"], "[" * 100_000 + "]" * 100_000,
+                     id="deep-nesting"),
+        (["witness", "--group", "z6x2", "--gens", "e1,e2,(5,0)", "--subset"], '[["a",0]]'),
+        (["witness", "--group", "z6x2", "--gens", "e1,e2,(5,0)", "--subset"], "[[1.5,0]]"),
+        (["witness", "--group", "z6", "--gens", "1,5", "--subset"], "[true,1,2,3,4,5]"),
+    ],
+)
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    arg = f"@{path}" if command[0] == "witness" else str(path)
+    assert main(command + [arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_scan_takes_every_catalog_graph(capsys):
+    assert main(["scan", "--graph", "q3"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.strip().split("\n")
+    assert len(rows) == 2 and rows[1].startswith("q3,8,3,5,")
+    assert "scanned 1 instance(s)" in captured.err
+
+
+def test_witness_cap_default_is_the_library_default():
+    args = _build_parser().parse_args(["witness", "--group", "z6", "--gens", "1,5", "--subset", "0"])
+    assert args.cap == DEFAULT_LIFT_CAP

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import cayleydeg
 from cayleydeg.cli import _build_parser
+from cayleydeg.graphs import builtin_graph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +61,19 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: {line}") from None
+
+
+def test_readme_graph_names_build():
+    text = README.read_text()
+    section = text.split("Graph names", 1)[1]
+    table = re.search(r"(?:^\|.*\n)+", section, re.M).group(0)
+    names = re.findall(r"^\| `([^`]+)`", table, re.M)
+    assert len(names) >= 4
+    parser = _build_parser()
+    for name in names:
+        # placeholders (cycle:m, qN) take the value 5
+        concrete = re.sub(r"(?<=:)m$|(?<=^q)N$", "5", name)
+        X = builtin_graph(concrete)
+        assert X.n > 0 and X.is_regular(), name
+        parser.parse_args(["scan", "--graph", concrete])
+        parser.parse_args(["signing", "search", "--graph", concrete])

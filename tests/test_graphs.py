@@ -1,10 +1,12 @@
 """Tests for graph primitives, Cayley construction, and serialization."""
 
+import pickle
 import random
 from collections import deque
 
 import pytest
 
+from cayleydeg.extremal import verify_conjecture
 from cayleydeg.graphs import (
     Graph,
     VertexSet,
@@ -216,6 +218,21 @@ def test_dot_round_trip_and_isolated_vertices():
 def test_import_errors():
     with pytest.raises(ValueError):
         import_graph('{"n": 2}', "json")
+    # every entry must be a list of two ints
+    for text, message in [
+        ('{"n": 3, "edges": [["a", 1]]}', "malformed edge entry"),
+        ('{"n": 3, "edges": [[0, 1.0]]}', "malformed edge entry"),
+        ('{"n": 3, "edges": [[0, true]]}', "malformed edge entry"),
+        ('{"n": 3, "edges": [[[0], 1]]}', "malformed edge entry"),
+        ('{"n": 3, "edges": [[0, 1, 2]]}', "malformed edge entry"),
+        ('{"n": true, "edges": []}', "bad vertex count True"),
+        ('{"n": 3, "edges": null}', "'edges' must be a list"),
+        ("null", "must be an object with 'n' and 'edges'"),
+        ('{"n": 3, "edges": [[0, 3]]}', "endpoint outside"),
+        ("{", "malformed graph JSON"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            import_graph(text, "json")
     with pytest.raises(ValueError):
         import_graph("digraph { 0 -> 1; }", "dot")
     with pytest.raises(ValueError):
@@ -346,9 +363,70 @@ def test_graph_constructor_matches_set_reference():
         Y = Graph(n, [(v, u) for u, v in reversed(edges)])
         assert X == Y and hash(X) == hash(Y)
         assert X != Graph(n + 1, edges)
+        # == and hash are the ones Graph and VertexSet defined by hand
+        assert hash(X) == hash((n, X.adj_masks))
+        for m in X.adj_masks:
+            assert hash(VertexSet(n, m)) == hash((n, m))
+            assert (VertexSet(n, m) == VertexSet(n, X.adj_masks[0])) == (m == X.adj_masks[0])
         rotated = [((u + 1) % n, (v + 1) % n) for u, v in edges]
         Z = Graph(n, rotated)
         assert (X == Z) == (_reference_graph(n, rotated)["edges"] == expect["edges"])
+        assert (X == Z) == (X.adj_masks == Z.adj_masks)
         assert X != Z or hash(X) == hash(Z)
         if edges:
             assert X != Graph(n, edges[1:])
+
+
+def test_value_types_refuse_assignment():
+    X = Graph(3, [(0, 1)])
+    U = VertexSet(3, 0b101)
+    for obj, name in [(X, "n"), (X, "adj_masks"), (X, "edge_count"), (U, "n"), (U, "mask")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    for obj in (X, U):
+        # a name that is not a field: AttributeError, or TypeError from
+        # Python 3.11's frozen slots dataclasses
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 0
+    assert X == Graph(3, [(0, 1)]) and U == VertexSet(3, 0b101)
+
+
+def test_value_types_pickle_at_every_protocol(monkeypatch):
+    X = builtin_graph("petersen")
+    U = VertexSet.from_members(10, [0, 2, 7])
+    G = make_group("z6")
+    report = verify_conjecture(G, make_generating_set(G, [1, 5, 3]))
+    blobs = [(obj, pickle.dumps(obj, p)) for obj in (X, U, report)
+             for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+    def rebuild(*args):
+        raise AssertionError("unpickling rebuilt a Graph from its edges")
+
+    monkeypatch.setattr(Graph, "__init__", rebuild)
+    for orig, blob in blobs:
+        obj = pickle.loads(blob)
+        assert obj == orig and hash(obj) == hash(orig) and repr(obj) == repr(orig)
+    assert pickle.loads(blobs[0][1]).edge_count == 15
+
+
+def test_value_type_reprs():
+    assert repr(Graph(4, [(0, 1), (2, 3)])) == "Graph(n=4, edges=2)"
+    assert repr(builtin_graph("petersen")) == "Graph(n=10, edges=15)"
+    assert repr(VertexSet(5, 0b10110)) == "VertexSet(5, {1,2,4})"
+    assert repr(VertexSet(0)) == "VertexSet(0, {})"
+    with pytest.raises(ValueError, match="mask has bits outside"):
+        VertexSet(3, 8)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        VertexSet(-1)
+
+
+def test_hypercube_catalog_is_the_cayley_graph_of_z2_power():
+    for dim in range(1, 9):
+        G = make_group([2] * dim)
+        expected = build_cayley(G, make_generating_set(G, [1 << i for i in range(dim)])).graph
+        X = builtin_graph(f"q{dim}")
+        assert X == expected and X.edge_count == expected.edge_count == dim << (dim - 1)
+    assert builtin_graph(" Q12 ").n == 4096
+    for name in ("q0", "q13"):
+        with pytest.raises(ValueError, match="hypercube dimension"):
+            builtin_graph(name)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from cayleydeg import groups
 from cayleydeg.errors import BudgetExceeded
 from cayleydeg.groups import (
     FiniteGroup,
@@ -437,10 +438,11 @@ def test_enumeration_max_size_filter():
     assert {frozenset(s.elements) for s in small} == {frozenset({1, 5})}
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     G = make_group("z12")  # 11 non-identity elements, unit count above a tiny cap
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_symmetric_generating_sets(G, cap=3))
+    monkeypatch.setattr(groups, "ENUMERATION_UNIT_CAP", 3)
+    with pytest.raises(BudgetExceeded, match="2\\^6 - 1 subsets exceeds the enumeration cap of 3 units"):
+        list(enumerate_symmetric_generating_sets(G))
 
 
 def test_render_and_elements():

@@ -233,6 +233,20 @@ def test_signing_json_validation():
         signing_from_json('{"n": 2, "signs": [[0, 1, 5]]}')
     with pytest.raises(ValueError):
         signing_from_json('{"n": 2, "signs": [[0, 0, 1]]}')
+    # every entry must be a list of three ints
+    for text, message in [
+        ('{"n": 3, "signs": [[0, 1.0, 1]]}', "malformed sign entry"),
+        ('{"n": 3, "signs": [[0, 1, true]]}', "malformed sign entry"),
+        ('{"n": 3, "signs": [[[0], 1, 1]]}', "malformed sign entry"),
+        ('{"n": 3, "signs": [[0, 1]]}', "malformed sign entry"),
+        ('{"n": true, "signs": []}', "bad vertex count True"),
+        ('{"n": 3, "signs": null}', "'signs' must be a list"),
+        ('[]', "must be an object with 'n' and 'signs'"),
+        ('{"n": 3, "signs": [[0, 3, 1]]}', r"bad edge \(0,3\)"),
+        ("nope", "malformed signing JSON"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            signing_from_json(text)
 
 
 def test_spectrum_csv_format():
@@ -384,6 +398,13 @@ def test_verify_signing_rejects_malformed_input():
         verify_signing(np.eye(2), 1)
     with pytest.raises(ValueError):
         verify_signing(np.eye(2, dtype=bool), 1)
+
+
+def test_spectrum_rejects_non_square_input():
+    with pytest.raises(ValueError, match=r"spectrum requires a square matrix, got shape \(2, 3\)"):
+        spectrum(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"spectrum requires a square matrix, got shape \(4,\)"):
+        spectrum(np.ones(4))
 
 
 def test_verify_signing_builds_no_dense_product():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cayleydeg.errors import BudgetExceeded, InvariantBreach
-from cayleydeg.graphs import build_cayley, induced_max_degree
+from cayleydeg.graphs import VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import make_generating_set, make_group
 from cayleydeg.witness import (
     abelian_witness,
@@ -311,6 +311,23 @@ def test_certificate_input_errors_are_unchanged():
     for fn in (cover_shift, cube_witness):
         with pytest.raises(ValueError, match="strict majority"):
             fn([3, 3], [0, 1, 3, 4])
+
+
+def test_vertex_sets_over_another_vertex_count_are_refused():
+    G = make_group([6])
+    S = make_generating_set(G, [1, 5, 3])
+    for U, n in [(VertexSet(12, 0b111110000000), 12), (VertexSet(4, 0b1111), 4)]:
+        message = f"vertex set is over {n} vertices, graph has 6"
+        for call in (
+            lambda: abelian_witness(G, S, U),
+            lambda: cover_counts([2, 3], U),
+            lambda: cover_shift([2, 3], U),
+            lambda: cube_witness([2, 3], U),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # the same members over the right count are certified
+    assert abelian_witness(G, S, VertexSet(6, 0b1111)).k == 2
 
 
 def _seeded_certificates(count, seed):
