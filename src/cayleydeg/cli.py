@@ -14,13 +14,12 @@ parsers only parse, and the library checks what the tokens mean.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvariantBreach
+from .errors import InvariantBreach, load_json
 from .extremal import (
     DEFAULT_SUBSET_BUDGET,
     abelian_scan_items,
@@ -40,6 +39,7 @@ from .graphs import (
 )
 from .groups import FiniteGroup, make_generating_set, make_group
 from .signing import (
+    SEARCH_SIZE_CAP,
     huang_signing,
     signing_from_json,
     signing_search,
@@ -127,8 +127,7 @@ def _parse_elements(G: FiniteGroup, text: str) -> list[int]:
 
 def _parse_subset(G: FiniteGroup, text: str) -> list[int]:
     if text.startswith("@"):
-        raw = Path(text[1:]).read_text()
-        data = json.loads(raw)
+        data = load_json(Path(text[1:]).read_text(), "subset")
         if not isinstance(data, list):
             raise ValueError("subset file must hold a JSON list")
         out = []
@@ -273,7 +272,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
     if cfg.ci and not cfg.seed_explicit and not args.exhaustive:
         raise ValueError("--ci requires an explicit --seed for randomized search")
     if args.infile is not None:
-        X = import_graph(Path(args.infile).read_text(), "json")
+        X = import_graph(Path(args.infile).read_text(), "json", cap=SEARCH_SIZE_CAP)
     else:
         X = builtin_graph(args.graph)
     res = signing_search(

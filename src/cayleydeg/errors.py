@@ -1,13 +1,16 @@
-"""Shared exception types.
+"""Shared exception types, and the one JSON parser of input text.
 
 Input and precondition problems raise ValueError (or the BudgetExceeded
-subclass when a configured cap is the reason).  InvariantBreach marks a
+subclass when a configured cap is the reason); load_json turns every way
+JSON input can fail to parse into a ValueError.  InvariantBreach marks a
 condition that the underlying mathematics guarantees can never happen;
 reaching one means the library itself is wrong, and the CLI turns it into
 its own exit code.
 """
 
 from __future__ import annotations
+
+import json
 
 __all__ = ["BudgetExceeded", "InvariantBreach"]
 
@@ -18,3 +21,11 @@ class BudgetExceeded(ValueError):
 
 class InvariantBreach(RuntimeError):
     """A mathematically guaranteed invariant failed; this is a library bug."""
+
+
+def load_json(text: str, kind: str):
+    """The value of JSON `text`; ValueError naming `kind` if it does not parse."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc

@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import BudgetExceeded, load_json
 from .groups import FiniteGroup, GeneratingSet
 
 __all__ = [
@@ -356,18 +357,24 @@ def export_graph(X: Graph, format: str = "json") -> bytes:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _json_records(text: str, kind: str, key: str, width: int) -> tuple[int, list[list[int]]]:
+def _check_cap(kind: str, n: int, cap: int | None) -> None:
+    if cap is not None and n > cap:
+        raise BudgetExceeded(f"{kind} has {n} vertices, above the cap {cap}")
+
+
+def _json_records(
+    text: str, kind: str, key: str, width: int, cap: int | None
+) -> tuple[int, list[list[int]]]:
     """N and the entries of ``{"n": N, key: [[i, ...], ...]}``, each entry a
-    list of `width` ints (not bools); ranges are left to the caller."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+    list of `width` ints (not bools); ranges are left to the caller.  N above
+    `cap` (unless it is None) is refused before the caller allocates for it."""
+    obj = load_json(text, kind)
     if not isinstance(obj, dict) or "n" not in obj or key not in obj:
         raise ValueError(f"{kind} JSON must be an object with 'n' and '{key}'")
     n, entries = obj["n"], obj[key]
     if type(n) is not int or n < 0:
         raise ValueError(f"bad vertex count {n!r}")
+    _check_cap(kind, n, cap)
     if not isinstance(entries, list):
         raise ValueError(f"{kind} JSON '{key}' must be a list, got {type(entries).__name__}")
     for e in entries:
@@ -380,12 +387,13 @@ _DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)$")
 _DOT_VERT = re.compile(r"^(\d+)$")
 
 
-def import_graph(data: bytes | str, format: str = "json") -> Graph:
-    """Parse a graph from JSON or DOT produced by export_graph."""
+def import_graph(data: bytes | str, format: str = "json", cap: int | None = None) -> Graph:
+    """Parse a graph from JSON or DOT produced by export_graph.  A graph over
+    `cap` vertices (unless it is None) is refused before it is built."""
     text = data.decode() if isinstance(data, bytes) else data
     fmt = format.lower()
     if fmt == "json":
-        return Graph(*_json_records(text, "graph", "edges", 2))
+        return Graph(*_json_records(text, "graph", "edges", 2, cap))
     if fmt == "dot":
         body = text.strip()
         if not body.startswith("graph") or not body.endswith("}"):
@@ -410,5 +418,6 @@ def import_graph(data: bytes | str, format: str = "json") -> Graph:
                 continue
             raise ValueError(f"malformed DOT statement {stmt!r}")
         n = max(verts) + 1 if verts else 0
+        _check_cap("graph", n, cap)
         return Graph(n, edges)
     raise ValueError(f"unknown graph format {format!r}")

@@ -11,7 +11,6 @@ A table is validated exactly at every order; associativity by Light's test.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, load_json
 
 __all__ = [
     "FiniteGroup",
@@ -297,11 +296,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
     if not s:
         raise ValueError("empty group spec")
     if s.startswith("{"):
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON group spec: {exc}") from exc
-        return make_group(obj)
+        return make_group(load_json(s, "group spec"))
 
     low = s.lower()
     if low in ("q8", "quaternion8"):

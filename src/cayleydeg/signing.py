@@ -14,6 +14,32 @@ operations after one scan for the nonzeros.
 Eigenvalues come from LAPACK through numpy (eigvalsh).  The tests compare
 them against an independent cyclic Jacobi solver kept in the test suite.
 
+The hill climb of signing_search keeps a single-edge flip M' only if its
+smallest eigenvalue modulus beats the sweep's best so far, best_val, and
+most flips cannot.  min |lambda(M')| > t exactly when M'^2 - t^2 I, whose
+eigenvalues are lambda^2 - t^2, is positive definite: a question of inertia
+that one Cholesky factorization answers at a fraction of an eigensolve.
+While best_val > _FILTER_FLOOR = eps, a flip whose factorization at
+t = best_val - delta (delta = _FILTER_MARGIN) breaks down is skipped; every
+other flip is scored by eigvalsh exactly as without the filter, so the
+search returns the same bits.  The skip is safe under these bounds, with
+unit roundoff u = 2^-53, n vertices and maximum degree D:
+
+- M'^2 has integer entries of size at most n, exact in float64; subtracting
+  t^2 rounds only the diagonal, by at most 2 u D.
+- eigvalsh is backward stable: each computed eigenvalue is within
+  p(n) u ||M'|| <= p(n) u D of the exact one (LAPACK Users' Guide, 4.7),
+  with p(n) a modest function of n, here taken as at most n^2.
+- Cholesky runs to completion on any symmetric A with lambda_min(A) >
+  n g/(1 - n g) max_i a_ii, g = (n+1) u/(1 - (n+1) u) (Demmel; Higham,
+  Accuracy and Stability of Numerical Algorithms, Thm 10.7), and a_ii <= D.
+
+If eigvalsh would score M' above best_val, the exact modulus exceeds
+best_val - e with e = n^2 u D, so lambda_min(M'^2 - t^2 I) > (delta - e)
+(2 eps - delta - e).  At the search cap (n = 512, D = 511) that is above
+9.8e-8, while the breakdown threshold plus the rounding is below 1.5e-8: a
+flip that LAPACK would keep is never skipped.
+
 Signing JSON is read by the record reader of graph JSON (cayleydeg.graphs).
 """
 
@@ -53,7 +79,15 @@ HUANG_DIMENSION_CAP = 12
 SPECTRUM_SIZE_CAP = 2048
 SEARCH_SIZE_CAP = 512
 EXHAUSTIVE_EDGE_CAP = 20
+_SIGNING_FILE_CAP = 1 << HUANG_DIMENSION_CAP
 _WALK_BLOCK = 1 << 20
+# delta and eps of the inertia filter (module docstring): delta is far above
+# eigvalsh's error (at most 1.5e-8 at the search cap), and together with
+# eps it keeps lambda_min(M'^2 - t^2 I) of a flip that could win above 9.8e-8,
+# six times Cholesky's breakdown threshold.  Below eps (a graph whose
+# signings are all singular, such as a star) every flip is solved.
+_FILTER_MARGIN = 1e-6
+_FILTER_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,7 +118,9 @@ class SignedAdjacency:
 
     def edges_with_signs(self) -> list[tuple[int, int, int]]:
         """``(u, v, sign)`` for every edge, u < v, in lexicographic order."""
-        us, vs = np.nonzero(np.triu(self.matrix, 1))
+        us, vs = np.nonzero(self.matrix)  # row-major, so lexicographic
+        upper = us < vs
+        us, vs = us[upper], vs[upper]
         signs = self.matrix[us, vs]
         return list(zip(us.tolist(), vs.tolist(), signs.tolist()))
 
@@ -205,10 +241,15 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best signing found.  `evaluations` counts the sign patterns
+    considered, `eigensolves` the eigvalsh calls among them (0 in a result
+    built by hand)."""
+
     signing: SignedAdjacency
     min_modulus: float
     evaluations: int
     method: str
+    eigensolves: int = 0
 
 
 def _signing_from_bits(n: int, edges: list[tuple[int, int]], bits: int) -> np.ndarray:
@@ -230,31 +271,60 @@ def _min_modulus(m: np.ndarray) -> float:
     return float(np.abs(vals).min())
 
 
-def _climb_worker(args: tuple) -> tuple[float, int, int]:
-    """One hill-climb restart; returns (min_modulus, bits, evaluations).
+def _modulus_exceeds(m: np.ndarray, square: np.ndarray, edge: tuple[int, int], t: float) -> bool:
+    """Whether Cholesky factors m m - t^2 I, that is whether min |lambda(m)| > t.
+
+    `square` is the square of m with the sign of `edge` flipped back, so only
+    rows and columns u and v of m m differ from it: two vector-matrix
+    products patch them in.  Every entry of m m is an integer, exact in
+    float64.
+    """
+    u, v = edge
+    a = square.copy()
+    a[u] = a[:, u] = m[u] @ m
+    a[v] = a[:, v] = m[v] @ m
+    a.flat[:: a.shape[0] + 1] -= t * t
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _climb_worker(args: tuple) -> tuple[float, int, int, int]:
+    """One hill-climb restart; returns (min_modulus, bits, evaluations,
+    eigensolves).
 
     Each candidate flips one edge of a single float64 matrix in place and
-    flips it back after its evaluation.
+    flips it back after its evaluation.  A candidate is kept only if its
+    modulus beats the sweep's best so far, best_val; while best_val >
+    _FILTER_FLOOR, a candidate whose inertia test with t = best_val -
+    _FILTER_MARGIN fails cannot beat it and skips its eigensolve.
     """
     edges, n, seed, restart, budget = args
     rng = random.Random(f"{seed}:{restart}")
     bits = rng.getrandbits(len(edges))
     m = _signing_from_bits(n, edges, bits).astype(np.float64)
     cur = _min_modulus(m)
-    evals = 1
+    evals = solves = 1
     improved = True
     while improved and evals < budget:
         improved = False
         best_flip = -1
         best_val = cur
+        square = m @ m
         for i, edge in enumerate(edges):
             _flip(m, edge)
-            cand = _min_modulus(m)
+            if best_val <= _FILTER_FLOOR or _modulus_exceeds(
+                m, square, edge, best_val - _FILTER_MARGIN
+            ):
+                cand = _min_modulus(m)
+                solves += 1
+                if cand > best_val:
+                    best_val = cand
+                    best_flip = i
             _flip(m, edge)
             evals += 1
-            if cand > best_val:
-                best_val = cand
-                best_flip = i
             if evals >= budget:
                 break
         if best_flip >= 0:
@@ -262,7 +332,7 @@ def _climb_worker(args: tuple) -> tuple[float, int, int]:
             _flip(m, edges[best_flip])
             cur = best_val
             improved = True
-    return cur, bits, evals
+    return cur, bits, evals, solves
 
 
 def signing_search(
@@ -308,18 +378,19 @@ def signing_search(
                 best_val = val
                 best_bits = bits
         mat = _signing_from_bits(X.n, edges, best_bits)
-        return SearchResult(SignedAdjacency(mat), best_val, 1 << ne, "exhaustive")
+        return SearchResult(SignedAdjacency(mat), best_val, 1 << ne, "exhaustive", 1 << ne)
 
     tasks = [(tuple(edges), X.n, seed, r, budget) for r in range(restarts)]
     outcomes = parallel_map(_climb_worker, tasks, jobs=jobs)
     best_val, best_bits = -1.0, 0
-    total = 0
-    for val, bits, evals in outcomes:
-        total += evals
+    evals = solves = 0
+    for val, bits, restart_evals, restart_solves in outcomes:
+        evals += restart_evals
+        solves += restart_solves
         if val > best_val or (val == best_val and bits < best_bits):
             best_val, best_bits = val, bits
     mat = _signing_from_bits(X.n, edges, best_bits)
-    return SearchResult(SignedAdjacency(mat), best_val, total, "hill-climb")
+    return SearchResult(SignedAdjacency(mat), best_val, evals, "hill-climb", solves)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +404,12 @@ def signing_to_json(M: SignedAdjacency) -> str:
 
 
 def signing_from_json(text: str) -> SignedAdjacency:
-    """Parse the output of signing_to_json; every entry must be three ints."""
-    n, signs = _json_records(text, "signing", "signs", 3)
+    """Parse the output of signing_to_json; every entry must be three ints.
+
+    A vertex count above 2^HUANG_DIMENSION_CAP, the size of the largest
+    signing that huang_signing writes and verify_signing checks, is refused
+    before the matrix is allocated; spectrum applies its own smaller cap."""
+    n, signs = _json_records(text, "signing", "signs", 3, _SIGNING_FILE_CAP)
     m = np.zeros((n, n), dtype=np.int8)
     for u, v, s in signs:
         if not 0 <= u < n or not 0 <= v < n or u == v:

@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -301,6 +303,12 @@ def test_scan_finding_outranks_instance_errors(tmp_path, capsys):
         (["witness", "--group", "z6x2", "--gens", "e1,e2,(5,0)", "--subset"], '[["a",0]]'),
         (["witness", "--group", "z6x2", "--gens", "e1,e2,(5,0)", "--subset"], "[[1.5,0]]"),
         (["witness", "--group", "z6", "--gens", "1,5", "--subset"], "[true,1,2,3,4,5]"),
+        pytest.param(["witness", "--group", "z6", "--gens", "1,5", "--subset"],
+                     "[" * 100_000 + "]" * 100_000, id="deep-subset"),
+        pytest.param(["signing", "search", "--in"], '{"n":1000000000000,"edges":[]}',
+                     id="huge-graph"),
+        pytest.param(["signing", "spectrum", "--in"], '{"n":1000000000000,"signs":[]}',
+                     id="huge-signing"),
     ],
 )
 def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, command, text):
@@ -323,3 +331,46 @@ def test_scan_takes_every_catalog_graph(capsys):
 def test_witness_cap_default_is_the_library_default():
     args = _build_parser().parse_args(["witness", "--group", "z6", "--gens", "1,5", "--subset", "0"])
     assert args.cap == DEFAULT_LIFT_CAP
+
+
+def test_deeply_nested_group_spec_exits_2_without_a_traceback(capsys):
+    spec = '{"table":' + "[" * 100_000 + "]" * 100_000 + "}"
+    assert main(["build", "--group", spec, "--gens", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed group spec JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["signing", "search", "--in"], '{"n":513,"edges":[]}',
+         "graph has 513 vertices, above the cap 512"),
+        (["signing", "verify", "--c", "1", "--in"], '{"n":4097,"signs":[]}',
+         "signing has 4097 vertices, above the cap 4096"),
+    ],
+)
+def test_vertex_counts_are_refused_before_allocation(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        assert main(command + [str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 1 << 20
+
+
+# sha256 of `cayleydeg --seed 3 signing search --graph q5 --out PATH`: the
+# written signing, and stdout with PATH replaced by OUT
+Q5_SEARCH_JSON_SHA256 = "43820a52ecbfe9648caa2cb7b5118ff0946bda0132d9016af6db31b80a53e769"
+Q5_SEARCH_STDOUT_SHA256 = "16005948ccf69d8706b5142c00a5b69b560e270ba98180e4a7a37aa837411c31"
+
+
+def test_q5_signing_search_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "q5.json"
+    assert main(["--seed", "3", "signing", "search", "--graph", "q5", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == Q5_SEARCH_JSON_SHA256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == Q5_SEARCH_STDOUT_SHA256

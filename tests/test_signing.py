@@ -1,5 +1,6 @@
 """Tests for signed adjacency matrices, spectra, and signing search."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,13 +10,17 @@ import numpy as np
 import pytest
 
 from cayleydeg import signing
+from cayleydeg.errors import BudgetExceeded
 from cayleydeg.graphs import Graph, build_cayley, builtin_graph
 from cayleydeg.groups import make_generating_set, make_group
 from cayleydeg.signing import (
     EXHAUSTIVE_EDGE_CAP,
     HUANG_DIMENSION_CAP,
+    SEARCH_SIZE_CAP,
     SignedAdjacency,
     _climb_worker,
+    _flip,
+    _modulus_exceeds,
     huang_signing,
     signing_from_json,
     signing_search,
@@ -311,6 +316,34 @@ def _rebuilt_climb(edges, n, seed, restart, budget):
     return cur, bits, evals
 
 
+def _reference_climb(edges, n, seed, restart, budget):
+    """The climb without the inertia filter: every candidate is solved."""
+    rng = random.Random(f"{seed}:{restart}")
+    bits = rng.getrandbits(len(edges))
+    m = _rebuilt_signing(n, edges, bits).astype(np.float64)
+    cur = float(np.abs(np.linalg.eigvalsh(m)).min())
+    evals = 1
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        best_flip, best_val = -1, cur
+        for i, edge in enumerate(edges):
+            _flip(m, edge)
+            cand = float(np.abs(np.linalg.eigvalsh(m)).min())
+            _flip(m, edge)
+            evals += 1
+            if cand > best_val:
+                best_val, best_flip = cand, i
+            if evals >= budget:
+                break
+        if best_flip >= 0:
+            bits ^= 1 << best_flip
+            _flip(m, edges[best_flip])
+            cur = best_val
+            improved = True
+    return cur, bits, evals
+
+
 def _rebuilt_exhaustive(n, edges):
     best_bits, best_val = 0, -1.0
     for bits in range(1 << len(edges)):
@@ -485,7 +518,7 @@ def test_climb_matches_rebuilding_reference():
         for budget in (1, 2, ne // 2 + 1, ne + 3, 2 * ne + 5, 400):
             for restart in range(2):
                 args = (edges, X.n, 9, restart, budget)
-                assert _climb_worker(args) == _rebuilt_climb(*args), (X.n, edges, budget)
+                assert _climb_worker(args)[:3] == _rebuilt_climb(*args), (X.n, edges, budget)
 
 
 def test_exhaustive_search_matches_rebuilding_reference():
@@ -499,3 +532,126 @@ def test_exhaustive_search_matches_rebuilding_reference():
         assert res.min_modulus == val
         assert res.evaluations == 1 << len(edges)
         assert res.signing.matrix.tolist() == mat.tolist()
+
+
+def _star(k):
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def test_climb_matches_the_unfiltered_reference():
+    # the bench's search (budget 2000, 8 restarts) on cubes, seeded G(n,p)
+    # graphs (the last has an isolated vertex, so every signing is singular)
+    # and the star K_{1,3}, whose signings are all singular too: below the
+    # filter's floor every candidate is solved
+    rng = random.Random(5)
+    cases = [(_hypercube(k), seed) for k in (4, 5, 6) for seed in (0, 101)]
+    cases += [(_random_graph(rng, n, p), 0) for n, p in ((20, 0.3), (40, 0.12), (64, 0.1))]
+    cases.append((_star(3), 0))
+    unfiltered = []
+    for X, seed in cases:
+        edges = tuple(X.edges())
+        outcomes = []
+        for restart in range(8):
+            args = (edges, X.n, seed, restart, 2000)
+            outcomes.append(_climb_worker(args))
+            assert outcomes[-1][:3] == _reference_climb(*args), (X.n, len(edges), seed, restart)
+        evals = sum(o[2] for o in outcomes)
+        solves = sum(o[3] for o in outcomes)
+        if max(o[0] for o in outcomes) <= signing._FILTER_FLOOR:
+            unfiltered.append(X.n)
+            assert solves == evals
+        else:
+            assert solves < evals / 4, (X.n, solves, evals)
+    assert unfiltered == [64, 4]
+
+
+def test_inertia_filter_never_rejects_a_flip_that_could_win():
+    # rejecting at t means eigvalsh's modulus is below t + margin / 2, so a
+    # flip whose modulus would beat best_val = t + margin is never skipped;
+    # thresholds cluster around the computed modulus, where it matters
+    rng = random.Random(12)
+    margin, floor = signing._FILTER_MARGIN, signing._FILTER_FLOOR
+    graphs = [_hypercube(5)] + [_random_graph(rng, rng.randint(8, 40), rng.uniform(0.15, 0.5))
+                                for _ in range(6)]
+    rejected = accepted = 0
+    for X in graphs:
+        edges = X.edges()
+        for _ in range(8):
+            m = _rebuilt_signing(X.n, edges, rng.getrandbits(len(edges))).astype(np.float64)
+            square = m @ m
+            edge = rng.choice(edges)
+            _flip(m, edge)
+            modulus = float(np.abs(np.linalg.eigvalsh(m)).min())
+            for _ in range(12):
+                t = rng.choice((modulus + rng.uniform(-margin, margin),
+                                modulus * rng.uniform(0.5, 1.5), rng.uniform(0, 3)))
+                if t <= floor:
+                    continue
+                if _modulus_exceeds(m, square, edge, t):
+                    accepted += 1
+                    assert modulus > t - margin / 2, (modulus, t)
+                else:
+                    rejected += 1
+                    assert modulus < t + margin / 2, (modulus, t)
+    assert rejected > 100 and accepted > 100
+
+
+def test_filter_constants_meet_the_error_bound():
+    # the bound of the module docstring at the search cap: a flip that
+    # eigvalsh scores above best_val keeps lambda_min(M'^2 - t^2 I) above
+    # what Cholesky needs to run to completion, plus the diagonal rounding
+    u = np.finfo(np.float64).eps / 2
+    n = SEARCH_SIZE_CAP
+    degree = n - 1
+    eig_error = n * n * u * degree
+    delta, eps = signing._FILTER_MARGIN, signing._FILTER_FLOOR
+    smallest = (delta - eig_error) * (2 * eps - delta - eig_error)
+    g = (n + 1) * u / (1 - (n + 1) * u)
+    needed = n * g / (1 - n * g) * degree + 2 * u * degree
+    assert smallest > 6 * needed
+
+
+def test_search_counts_its_eigensolves():
+    X = _hypercube(4)
+    res = signing_search(X, seed=0, budget=400, restarts=3)
+    outcomes = [_climb_worker((tuple(X.edges()), X.n, 0, r, 400)) for r in range(3)]
+    assert res.evaluations == sum(o[2] for o in outcomes)
+    assert res.eigensolves == sum(o[3] for o in outcomes) < res.evaluations
+    star = signing_search(_star(3), seed=0, budget=50, restarts=2)
+    assert star.eigensolves == star.evaluations
+    exhaustive = signing_search(_hypercube(2), exhaustive=True)
+    assert exhaustive.eigensolves == exhaustive.evaluations == 16
+    assert signing_search(Graph(3, []), seed=0).eigensolves == 0
+
+
+# sha256 of signing_to_json(huang_signing(n)) for n = 1..8
+HUANG_JSON_SHA256 = [
+    "50c3cb807bc91ca6d017f458aa0bde33205c011fb8165541bec8ba83c5c88ea3",
+    "d1226659720c11620869e78dd0d3b9b43e37fb25172eaa7c806c0ff5d8ed235f",
+    "c5c420e6f27f808ea96e2816eb6f71fa4962a29cdae2e8a38a64b678f3c06c94",
+    "5b5ee8e1cdb4c7c9f61441d59b36acb2220efed3c39f088e94c5766281d93cf3",
+    "78fbe4c6dd86b39681332894c26973ab417d44c61448d98fee082e65f66ff7c1",
+    "d7ef349a691aaf74d4b715e8219bd8a85b668e650c61f156aa1fa89266024053",
+    "4bc9751e69f3d8f699ccd5e8ef22f5e272fd7686bef8edc38fb9c874f4ac0735",
+    "1008ec2b93b059c20490ec194797f18c5fb3c358e633dcfd5f01c304ac82c630",
+]
+
+
+def test_huang_signing_json_is_pinned():
+    for n, digest in enumerate(HUANG_JSON_SHA256, start=1):
+        assert hashlib.sha256(signing_to_json(huang_signing(n)).encode()).hexdigest() == digest
+
+
+def test_signing_file_size_is_refused_before_allocation():
+    cap = signing._SIGNING_FILE_CAP
+    for n in (cap + 1, 10 ** 12):
+        tracemalloc.start()
+        try:
+            message = f"signing has {n} vertices, above the cap {cap}"
+            with pytest.raises(BudgetExceeded, match=message):
+                signing_from_json(json.dumps({"n": n, "signs": []}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert signing_from_json(json.dumps({"n": cap, "signs": []})).size == cap
