@@ -317,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--group", required=True)
     w.add_argument("--gens", required=True)
     w.add_argument("--subset", required=True, help="element tokens, or @file with a JSON list")
-    w.add_argument("--cap", type=int, default=DEFAULT_LIFT_CAP, help="lift size cap")
+    w.add_argument("--cap", type=int, default=DEFAULT_LIFT_CAP,
+                   help="bound on m^d, the lift's source size")
     w.add_argument("--out", default=None)
     w.set_defaults(func=cmd_witness)
 

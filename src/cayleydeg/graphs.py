@@ -37,6 +37,8 @@ __all__ = [
     "import_graph",
 ]
 
+_BUILTIN_VERTEX_CAP = 1 << 12  # the order of q12, the largest catalog cube
+
 
 @dataclass(frozen=True, slots=True)
 class VertexSet:
@@ -301,7 +303,9 @@ def counterexample_checks(inst: CounterexampleInstance) -> dict[str, bool]:
 
 def builtin_graph(name: str) -> Graph:
     """Catalog graphs: ``petersen``, ``cycle:m``, ``complete:m``, and the
-    hypercube ``qN`` for 1 <= N <= 12.
+    hypercube ``qN`` for 1 <= N <= 12.  Cycles and complete graphs above
+    4096 vertices, the order of q12, raise BudgetExceeded before any edge
+    is listed.
 
     The Petersen graph uses the fixed ordering with outer 5-cycle 0..4,
     spokes i -- i+5, and inner edges (i+5) -- ((i+2) mod 5 + 5).  The
@@ -327,13 +331,14 @@ def builtin_graph(name: str) -> Graph:
             m = int(arg)
         except ValueError:
             raise ValueError(f"bad graph size in {name!r}") from None
+        _check_cap("graph", m, _BUILTIN_VERTEX_CAP)
         if head == "cycle":
             if m < 3:
                 raise ValueError(f"cycle needs at least 3 vertices, got {m}")
-            return Graph(m, [(i, (i + 1) % m) for i in range(m)])
+            return Graph(m, ((i, (i + 1) % m) for i in range(m)))
         if m < 1:
             raise ValueError(f"complete graph needs at least 1 vertex, got {m}")
-        return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+        return Graph(m, ((i, j) for i in range(m) for j in range(i + 1, m)))
     raise ValueError(f"unknown builtin graph {name!r}")
 
 

@@ -6,7 +6,8 @@ products index elements in mixed radix with the first modulus most
 significant, so element 0 is always the identity; table groups must place the
 identity at index 0.  Named builtins (dihedral, symmetric, alternating,
 quaternion) are constructed as validated tables.
-A table is validated exactly at every order; associativity by Light's test.
+A table is validated exactly at every order up to 2048 (2^22 entries; larger
+ones are refused before they are built or read); associativity by Light's test.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
 
 MAX_GROUP_ORDER = 10_000
 ENUMERATION_UNIT_CAP = 24
+# validation builds several n x n intp arrays; 2^22 entries admits n <= 2048
+_TABLE_ENTRY_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,18 @@ def _cyclic_product(moduli: Sequence[int]) -> FiniteGroup:
     return FiniteGroup(order=order, name=name, moduli=moduli)
 
 
+def _check_table_order(n: int) -> None:
+    """Refuse a table group of order n before its table is built or read."""
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
+    if n * n > _TABLE_ENTRY_CAP:
+        raise BudgetExceeded(
+            f"multiplication table has {n}^2 = {n * n} entries, above the cap {_TABLE_ENTRY_CAP}"
+        )
+
+
 def _table_group(table: Sequence[Sequence[int]], name: str) -> FiniteGroup:
-    if len(table) > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {len(table)} exceeds the supported maximum {MAX_GROUP_ORDER}")
+    _check_table_order(len(table))
     t = _validate_table(table)
     return FiniteGroup(order=len(t), name=name, table=t)
 
@@ -329,6 +341,7 @@ def _named_group(family: str, n: int) -> FiniteGroup:
     if family == "dihedral":
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
+        _check_table_order(2 * n)
         return _table_group(_dihedral_table(n), name=f"dihedral:{n}")
     if family == "sym":
         if not 1 <= n <= 5:

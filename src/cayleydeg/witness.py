@@ -18,11 +18,20 @@ neighbors of u inside U, where d = t + (number of inverse pairs) counts the
 
 3. abelian_witness: a general cyclic-product G is pulled back through the
    linear map A : Z_m^d -> G sending basis vector i to the i-th direction
-   representative of S, with m the lcm of the moduli.  A is surjective with
-   fibers of equal size m^d / |G| (verified exactly by counting), so the
-   preimage of U is again a majority subset and the cube witness maps down to
-   a witness in G.  Distinctness of the mapped neighbors holds because the
-   direction representatives contain no inverse pair.
+   representative s_i of S, with m the lcm of the moduli.  The lift is
+   argued, not tabulated: A is a surjective homomorphism, so its fibers all
+   have m^d / |G| points, the preimage of U is again a majority subset, and
+   the lifted cover count at r is c[A(r)] for the box sum c of U along
+   s_0, ..., s_{d-1} in G.  The shift, the cube copy and the signs are read
+   off G with O(d |G|) work besides the 2^d-corner cube step, never building
+   the m^d points (make_lift still tabulates A, for tests and tracing).
+   Checked exactly instead of a fiber count: every q_j = [H_j : H_{j+1}] of
+   the chain H_j = <s_j, ..., s_{d-1}> divides m and H_0 = G; sum_g c[g] =
+   2^d |U|; the best count exceeds 2^(d-1); the cube copy's membership count
+   and its neighbor reconstruction; and, mapped down, the witness is
+   re-verified in G (distinct neighbors, all in U, adjacent, k^2 >= d).
+   Distinctness of the mapped neighbors holds because the direction
+   representatives contain no inverse pair.
 """
 
 from __future__ import annotations
@@ -187,22 +196,43 @@ def _cube_vertex(
     neighbors, and one (i, sign, neighbor) step per such neighbor, in
     direction order, where neighbor = u + sign * e_i.
     """
-    d = len(moduli)
     r, cube_points = _cover_shift(moduli, ind)
+    verts = _cube_indices(moduli, np.unravel_index(r, moduli))
+    u_mask, k, steps = _cube_best(len(moduli), verts, ind[verts].astype(bool), cube_points)
+    return r, cube_points, int(verts[u_mask]), k, [
+        (i, sign, int(verts[nb_mask])) for i, sign, nb_mask in steps
+    ]
 
-    # group index of r + e_T for each subset-mask T (bit i of the mask is
-    # coordinate i); built by doubling so no 2^d x d table is materialized
+
+def _cube_indices(moduli: tuple[int, ...], digits: Sequence[int]) -> np.ndarray:
+    """Mixed-radix index of r + e_T for every subset-mask T (bit i of the
+    mask is coordinate i), where r has the given digits; built by doubling so
+    no 2^d x d table is materialized.  Indices beyond int64 stay exact as
+    Python ints."""
+    d = len(moduli)
     pv = [1] * d
     for i in range(d - 2, -1, -1):
         pv[i] = pv[i + 1] * moduli[i + 1]
-    r_res = [(r // pv[i]) % moduli[i] for i in range(d)]
-    verts = np.zeros(1, dtype=np.int64)
+    fits = pv[0] * moduli[0] <= np.iinfo(np.int64).max
+    verts = np.zeros(1, dtype=np.int64 if fits else object)
     for i in range(d):
-        zero_off = r_res[i] * pv[i]
-        one_off = ((r_res[i] + 1) % moduli[i]) * pv[i]
+        zero_off = int(digits[i]) * pv[i]
+        one_off = (int(digits[i]) + 1) % moduli[i] * pv[i]
         verts = np.concatenate([verts + zero_off, verts + one_off])
+    return verts
 
-    member = ind[verts].astype(bool)
+
+def _cube_best(
+    d: int, verts: np.ndarray, member: np.ndarray, cube_points: int
+) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """The hypercube half of the witness, shared by both certificates.
+
+    verts[T] is the lifted index of the d-cube corner with subset-mask T and
+    member[T] says whether that corner lies in the subset.  Returns (u_mask,
+    k, steps): the member of maximum induced cube degree k (ties to the
+    smallest verts entry) and one (i, sign, neighbor mask) step per in-subset
+    cube neighbor, in direction order.
+    """
     if int(member.sum()) != cube_points:
         raise InvariantBreach("cube membership count disagrees with cover count")
 
@@ -225,10 +255,10 @@ def _cube_vertex(
     for i in range(d):
         nb_mask = u_mask ^ (1 << i)
         if member[nb_mask]:
-            steps.append((i, -1 if (u_mask >> i) & 1 else 1, int(verts[nb_mask])))
+            steps.append((i, -1 if (u_mask >> i) & 1 else 1, nb_mask))
     if len(steps) != k:
         raise InvariantBreach("neighbor reconstruction disagrees with cube degree")
-    return r, cube_points, int(verts[u_mask]), k, steps
+    return u_mask, k, steps
 
 
 @dataclass(frozen=True)
@@ -252,13 +282,10 @@ class LinearLift:
         return self.m**self.d
 
 
-def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> LinearLift:
-    """Build the lift of a generating set of a cyclic-product group.
-
-    Direction representatives are the order-2 elements of S followed by one
-    member per inverse pair, matching GeneratingSet.images().  Errors if the
-    source m^d exceeds cap or S does not generate.
-    """
+def _check_lift(G: FiniteGroup, S: GeneratingSet, cap: int) -> tuple[int, int]:
+    """(m, d) for the lift of S.  Refuses a group that is not a cyclic
+    product, a set that does not generate, and a source of more than cap
+    points, before any work."""
     if not G.moduli:
         raise ValueError("lifts are defined for cyclic-product groups only")
     if not S.generates:
@@ -270,6 +297,18 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
         raise BudgetExceeded(
             f"lift source size {m}^{d} = {size} exceeds the cap {cap}"
         )
+    return m, d
+
+
+def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> LinearLift:
+    """Build the lift of a generating set of a cyclic-product group.
+
+    Direction representatives are the order-2 elements of S followed by one
+    member per inverse pair, matching GeneratingSet.images().  Errors if the
+    source m^d exceeds cap or S does not generate.
+    """
+    m, d = _check_lift(G, S, cap)
+    size = m**d
     images = S.images()
 
     # appending coordinate i as the least significant digit: column j of the
@@ -293,6 +332,43 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
     )
 
 
+def _least_preimage_order(
+    G: FiniteGroup, images: tuple[int, ...], m: int
+) -> tuple[np.ndarray, list[int]]:
+    """The elements of G sorted by their least preimage under the lift A,
+    with the radices q_j of that order.
+
+    H_j = <s_j, ..., s_{d-1}> is the disjoint union of the cosets
+    k*s_j + H_{j+1} for k < q_j, the order of s_j modulo H_{j+1}.  The least
+    preimage of k*s_j + h has digit j equal to k and the least preimage of h
+    after it, so listing H_{j+1} once per coset, k ascending, lists H_j in
+    least-preimage order.  Position p of the final list then has the
+    preimage whose digits are p in mixed radix (q_0, ..., q_{d-1}).  Each
+    step is a sum of residue coordinates: at most rank*|G| entries, no
+    Python loop over k.  H_0 = G and every q_j dividing m (the uniform
+    fibers of size m^d/|G| that make_lift counts) are checked exactly.
+    """
+    coords = G._coords
+    mods = np.array(G.moduli)[:, None]
+    ks = np.arange(m + 1)
+    listed = np.zeros(1, dtype=np.intp)  # H_d = {0}
+    in_h = np.zeros(G.order, dtype=bool)
+    in_h[0] = True
+    radices = []
+    for s in reversed(images):
+        multiples = coords[:, s, None] * ks % mods  # k*s for k = 0..m
+        reached = in_h[np.ravel_multi_index(tuple(multiples[:, 1:]), G.moduli)]
+        q = 1 + int(np.argmax(reached))  # the least k >= 1 with k*s in H_{j+1}
+        cosets = (multiples[:, :q, None] + coords[:, None, listed]) % mods[:, :, None]
+        listed = np.ravel_multi_index(tuple(cosets.reshape(len(G.moduli), -1)), G.moduli)
+        in_h[listed] = True
+        radices.append(q)
+    radices.reverse()
+    if listed.size != G.order or not in_h.all() or any(m % q for q in radices):
+        raise InvariantBreach("lift fibers are not uniform despite a generating set")
+    return listed, radices
+
+
 def abelian_witness(
     G: FiniteGroup,
     S: GeneratingSet,
@@ -301,11 +377,14 @@ def abelian_witness(
 ) -> WitnessReport:
     """Certified witness for a majority subset of a cyclic-product Cayley graph.
 
-    Lifts U through the linear map, runs the cube witness in Z_m^d, and maps
-    the result down.  For each chosen direction the +1 sign is preferred when
-    both lifted neighbors land in the preimage.  The mapped neighbors are
-    re-verified: membership in U, pairwise distinctness, adjacency via the
-    group operation, and the exact bound k^2 >= d.
+    Runs the cube witness of the preimage of U in Z_m^d and maps the result
+    down, working on G alone: the lifted cover count at r is c[A(r)] for
+    the box sum c of U along the direction representatives, the shift is
+    the least preimage of the first maximum of c, and the cube copy is read
+    off A(r) along the translation rows.  For each chosen direction the +1
+    sign is preferred when both neighbors u +- s_i are in U.  The neighbors
+    are re-verified: membership in U, pairwise distinctness, adjacency via
+    the group operation, and the exact bound k^2 >= d.
     """
     if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
@@ -314,33 +393,49 @@ def abelian_witness(
         raise ValueError(
             f"subset has {U.size} of {G.order} vertices; a strict majority is required"
         )
-    lift = make_lift(G, S, cap=cap)
-    m, d = lift.m, lift.d
+    m, d = _check_lift(G, S, cap)
+    images = S.images()
+    rows = G.translations(images)
+    listed, radices = _least_preimage_order(G, images, m)
 
     u_ind = np.zeros(G.order, dtype=np.int8)
     u_ind[U.members()] = 1
-    pre = u_ind[lift.values]
+    counts = u_ind.astype(np.int64)
+    for row in rows:
+        counts += counts[row]
+    if int(counts.sum()) != (1 << d) * U.size:
+        raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
+    p = int(np.argmax(counts[listed]))  # the first maximum has the least preimage
+    cube_points = int(counts[listed[p]])
+    if not cube_points > (1 << (d - 1)):
+        raise InvariantBreach(
+            f"covering bound failed: best shift count {cube_points} <= 2^{d - 1}"
+        )
+    digits = np.unravel_index(p, radices)
+    r = sum(int(x) * m ** (d - 1 - j) for j, x in enumerate(digits))
 
-    r, cube_points, h, k, steps = _cube_vertex((m,) * d, pre)
+    verts = _cube_indices((m,) * d, digits)
+    corners = listed[p : p + 1]
+    for row in rows:
+        corners = np.concatenate([corners, row[corners]])
+    u_mask, k, steps = _cube_best(d, verts, u_ind[corners].astype(bool), cube_points)
+    h = int(verts[u_mask])
+    u = int(corners[u_mask])
 
     signs = []
-    lifted_neighbors = []
+    neighbors = []
     for i, _, _ in steps:
-        place = m ** (d - 1 - i)  # coordinate i of Z_m^d, coordinate 0 most significant
-        digit = (h // place) % m
-        for sign in (1, -1):
-            h_next = h + ((digit + sign) % m - digit) * place
-            if pre[h_next]:
+        plus = int(rows[i, u])
+        minus = G.mul(G.inv(images[i]), u)
+        for sign, v in ((1, plus), (-1, minus)):
+            if v in U:
                 signs.append((i, sign))
-                lifted_neighbors.append(h_next)
+                neighbors.append(v)
                 break
         else:
             raise InvariantBreach(
                 f"neither lifted neighbor along direction {i} is in the preimage"
             )
-
-    u = int(lift.values[h])
-    neighbors = [int(lift.values[hn]) for hn in lifted_neighbors]
 
     checks = {}
     checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
@@ -374,7 +469,8 @@ def _suite_worker(item: tuple[int, int]) -> str:
     """One randomized instance: build, certify, and describe it on one line."""
     index, seed = item
     rng = random.Random(f"{seed}:{index}")
-    # every 25th instance exercises a larger lift
+    # every 25th instance allows a larger lift source m^d, which the
+    # certificate bounds by its cap but never builds
     size_target = (1 << 20) if index % 25 == 24 else (1 << 16)
 
     while True:

@@ -362,6 +362,26 @@ def test_vertex_counts_are_refused_before_allocation(tmp_path, capsys, command, 
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("name", ["complete:100000", "cycle:4097"])
+def test_catalog_sizes_are_refused_before_the_edges_are_listed(capsys, name):
+    # a scan records the refusal as an instance error and exits 2; a single
+    # graph command reports it as the error
+    n = name.partition(":")[2]
+    message = f"graph has {n} vertices, above the cap 4096"
+    for command, err in [
+        (["scan", "--graph", name], f"instance error: {name}: {message}\n"),
+        (["signing", "search", "--graph", name], f"error: {message}\n"),
+    ]:
+        tracemalloc.start()
+        try:
+            assert main(command) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.endswith(err), command
+        assert peak < 1 << 20
+
+
 # sha256 of `cayleydeg --seed 3 signing search --graph q5 --out PATH`: the
 # written signing, and stdout with PATH replaced by OUT
 Q5_SEARCH_JSON_SHA256 = "43820a52ecbfe9648caa2cb7b5118ff0946bda0132d9016af6db31b80a53e769"

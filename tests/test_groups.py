@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,35 @@ def test_render_and_elements():
 def test_group_order_cap():
     with pytest.raises(ValueError, match="maximum"):
         make_group("z20000")
+
+
+def test_table_entries_are_refused_before_validation():
+    # one shared row keeps the input itself small; n = 2049 is one past the
+    # 2^22-entry budget and 10,000 the largest order MAX_GROUP_ORDER admits
+    for n in (2049, 10_000):
+        table = [tuple(range(n))] * n
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                groups._table_group(table, "big")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"multiplication table has {n}^2 = {n * n} entries, above the cap 4194304"
+        )
+        assert peak < 1 << 16
+    # dihedral tables are refused before they are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"2050\^2 = 4202500 entries"):
+            make_group("dihedral:1025")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    with pytest.raises(ValueError, match="group order 12000 exceeds the supported maximum"):
+        make_group("dihedral:6000")
 
 
 # reference arithmetic for the translation arrays: scalar mixed-radix

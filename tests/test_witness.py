@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import make_generating_set, make_group
 from cayleydeg.witness import (
+    WitnessReport,
     abelian_witness,
     cover_counts,
     cover_shift,
@@ -284,8 +287,8 @@ def test_certificate_validates_and_converts_its_input_once(monkeypatch):
         fn([3, 3], [0, 1, 3, 4, 8])
         assert calls == {"moduli": 1, "membership": 1}, fn.__name__
 
-    # the lifted certificate builds its own membership array over Z_m^d and
-    # runs the cube step on it directly
+    # the abelian certificate works on G and runs the shared cube step on
+    # its own corner arrays
     def refuse(*args, **kwargs):
         raise AssertionError("abelian_witness called the public cube_witness")
 
@@ -366,3 +369,150 @@ def test_certificate_reports_are_pinned():
     lifted, cubes = _seeded_certificates(300, "w")
     assert _digest(lifted) == "fa56d6b2e6ede4974b27c93fca794516b5270911aae0ea9a4856ef739f97e34e"
     assert _digest(cubes) == "6851df388835efcbced9f592760b2f496919ad7682f206fab4a23613b189b546"
+
+
+def _lifted_witness(G, S, U, cap):
+    """The lift-based certificate: tabulate A over all m^d points with the
+    public make_lift, run the cube witness on the preimage of U in Z_m^d and
+    map it down, preferring the +1 sign per direction."""
+    lift = make_lift(G, S, cap=cap)
+    m, d = lift.m, lift.d
+    u_ind = np.zeros(G.order, dtype=np.int8)
+    u_ind[list(U)] = 1
+    pre = u_ind[lift.values]
+    cube = cube_witness((m,) * d, pre)
+    h = cube.vertex
+    signs, neighbors = [], []
+    for i, _ in cube.trace["signs"]:
+        place = m ** (d - 1 - i)
+        digit = (h // place) % m
+        for sign in (1, -1):
+            h_next = h + ((digit + sign) % m - digit) * place
+            if pre[h_next]:
+                signs.append((i, sign))
+                neighbors.append(int(lift.values[h_next]))
+                break
+    return WitnessReport(
+        vertex=int(lift.values[h]),
+        neighbors=tuple(neighbors),
+        k=cube.k,
+        d=d,
+        t=S.t,
+        bound_satisfied=True,
+        trace={**cube.trace, "signs": signs},
+        checks={"distinct": True, "adjacency": True, "bound": True},
+    )
+
+
+def _oracle_instances(count, seed):
+    """Seeded (G, S, U, cap): elementary 2-groups (m = 2), cyclic groups with
+    one direction, products with extra units, every 100th with a lift of
+    2^17 to 2^21 points, and |U| from a bare majority to the whole group."""
+    for i in range(count):
+        rng = random.Random(f"{seed}:{i}")
+        big = i % 100 == 99
+        cap = 1 << (21 if big else 12)
+        while True:
+            kind = i % 4
+            if kind == 0:
+                moduli = [2] * rng.randint(1, 5)
+            elif kind == 1:
+                moduli = [rng.randint(2, 400)]
+            else:
+                moduli = [rng.randint(2, 8) for _ in range(rng.randint(1, 3))]
+            G = make_group(moduli)
+            if kind == 1:
+                unit = rng.choice([g for g in range(1, G.order) if math.gcd(g, G.order) == 1])
+                elems = {unit, G.inv(unit)}
+            else:
+                elems = set()
+                for j in range(len(moduli)):
+                    g = G.encode([1 if k == j else 0 for k in range(len(moduli))])
+                    elems |= {g, G.inv(g)}
+                for _ in range(rng.randint(0, 4)):
+                    g = rng.randrange(1, G.order)
+                    elems |= {g, G.inv(g)}
+            S = make_generating_set(G, sorted(elems))
+            if (cap >> 4 if big else 0) < math.lcm(*moduli) ** S.d <= cap:
+                break
+        size = rng.choice(
+            [G.order // 2 + 1, G.order, rng.randint(G.order // 2 + 1, G.order)]
+        )
+        yield G, S, rng.sample(range(G.order), size), cap
+
+
+def test_abelian_witness_matches_the_lifted_oracle():
+    lifts = []
+    for G, S, U, cap in _oracle_instances(2000, "oracle"):
+        want = _lifted_witness(G, S, U, cap).to_json()
+        assert abelian_witness(G, S, U, cap=cap).to_json() == want, (G.name, S, U)
+        lifts.append(math.lcm(*G.moduli) ** S.d)
+    # the families the docstring names are all there
+    assert max(lifts) > 1 << 20 and min(lifts) == 2
+
+
+def test_abelian_witness_work_does_not_grow_with_the_lift():
+    # z8x8 with d = 7 directions: a 2^21-point lift, under the default cap
+    G = make_group([8, 8])
+    gens = [G.encode(v) for v in [(1, 0), (0, 1), (1, 1), (1, 2), (4, 0), (0, 4), (4, 4)]]
+    S = make_generating_set(G, {x for g in gens for x in (g, G.inv(g))})
+    assert math.lcm(*G.moduli) ** S.d == 1 << 21
+    U = range(33)
+    abelian_witness(G, S, U)
+    tracemalloc.start()
+    try:
+        rep = abelian_witness(G, S, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.to_json() == _lifted_witness(G, S, U, 1 << 22).to_json()
+
+    # a long cycle: m = |G| = 9973, d = 1
+    G = make_group([9973])
+    S = make_generating_set(G, [1, 9972])
+    U = range(4987)
+    tracemalloc.start()
+    try:
+        abelian_witness(G, S, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+    def best_of(fn, repeat=5):
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of(lambda: abelian_witness(G, S, U)) <= best_of(
+        lambda: _lifted_witness(G, S, U, 1 << 22)
+    )
+
+
+def test_lifts_beyond_int64_stay_exact():
+    # z97 x 97 with s_0 = (0,1) outside H_1 = <(1,0), ..., (9,0)>: the least
+    # shift has digit 40 in place 97^9, so it is above 2^63
+    G = make_group([97, 97])
+    gens = [G.encode((0, 1))] + [G.encode((a, 0)) for a in range(1, 10)]
+    S = make_generating_set(G, {x for g in gens for x in (g, G.inv(g))})
+    U = [g for g in range(G.order) if G.decode(g)[1] >= 40]
+    rep = abelian_witness(G, S, U, cap=10**20)
+    assert rep.trace["shift"] == rep.trace["lifted_vertex"] == 40 * 97**9 > 1 << 63
+    assert rep.trace["cube_points"] == 1 << 10
+    assert rep.vertex == G.encode((0, 40)) and rep.k == 10
+
+
+def test_abelian_witness_refuses_before_any_work():
+    G = make_group([8, 8])
+    S = make_generating_set(G, [1, 7, 8, 56, 9, 63])
+    with pytest.raises(BudgetExceeded, match=r"^lift source size 8\^3 = 512 exceeds the cap 100$"):
+        abelian_witness(G, S, range(33), cap=100)
+    H = make_group([6])
+    T = make_generating_set(H, [2, 4], allow_nongenerating=True)
+    message = "^the generating set does not generate; fibers would be unequal$"
+    with pytest.raises(ValueError, match=message):
+        abelian_witness(H, T, range(4))
