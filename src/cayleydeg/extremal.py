@@ -22,7 +22,13 @@ is bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
 keeps its include/exclude search on an explicit stack, so its depth is not
 bounded by Python's recursion limit.  The heuristic keeps the degree of
 every vertex into the current subset and scores each candidate swap from
-that vector in O(1); at s = n it evaluates the one subset once and stops.
+that vector in O(1).  It stops as soon as its best subset meets a lower
+bound on f read off the sorted degrees d_1 <= ... <= d_n and the edge count
+e (_degree_floor): the largest of 0, d_s - (n - s) and
+ceil(2 (e - d_{s+1} - ... - d_n) / s).  Its best subset changes only on a
+strict decrease, which no subset can then make, so the rest of the budget
+could not change its result.  At s = n that bound is the max degree itself,
+so the one subset is evaluated once.
 """
 
 from __future__ import annotations
@@ -288,6 +294,19 @@ def branch_and_bound(
     return BnBOutcome("true", VertexSet(n, mask), nodes)
 
 
+def _degree_floor(X: Graph, s: int) -> int:
+    """A lower bound on f at size s, from the degree sequence of X alone.
+
+    With degrees d_1 <= ... <= d_n and r = n - s, every s-subset U holds a
+    vertex of degree at least d_s, which loses at most r neighbours outside
+    U; and X(U) keeps at least e - (d_{s+1} + ... + d_n) of the e edges, so
+    its max degree is at least the ceiling of twice that over s.
+    """
+    d = sorted(a.bit_count() for a in X.adj_masks)
+    kept = X.edge_count - sum(d[s:])
+    return max(0, d[s - 1] - (X.n - s), -(-2 * kept // s))
+
+
 def heuristic_search(
     X: Graph,
     s: int,
@@ -299,16 +318,22 @@ def heuristic_search(
     Each step scores every single swap (one member u out, one non-member w
     in, both ascending) by the pair (induced max degree, induced degree sum)
     and moves to the first best strict improvement of that pair; restarts
-    from fresh random subsets until the evaluation budget is spent.
+    from fresh random subsets until the evaluation budget is spent, or until
+    the best max degree found meets the floor of _degree_floor, the largest
+    of 0, d_s - (n - s) and ceil(2 (e - d_{s+1} - ... - d_n) / s).
     Deterministic for a fixed seed.
+
+    The early stop never changes the result: the best subset is replaced
+    only on a strict decrease of its max degree, which cannot go below a
+    lower bound on f, and the random generator is local to the call.
 
     A swap is scored in O(1) from the degree vector deg[v] = |adj(v) & U|,
     kept for every vertex and updated in O(n) per move.  Once per u, top is
     the largest deg[x] - [x~u] over the other members x and reach holds the
     x that attain it; the swap then has max degree
     max(top + [adj(w) & reach != 0], deg[w] - [w~u]) and degree sum
-    sum(U) - 2 deg[u] + 2 (deg[w] - [w~u]).  At s = n the only subset is
-    evaluated once.
+    sum(U) - 2 deg[u] + 2 (deg[w] - [w~u]).  At s = n the floor is the max
+    degree, so the only subset is evaluated once.
     """
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
@@ -321,11 +346,12 @@ def heuristic_search(
     # sum is below n * n, so integer order is the order of the pairs
     scale = n * n
 
+    floor = _degree_floor(X, s)
     evals = 0
     best_top = n  # above every induced degree
     best_mask = 0
 
-    while evals < budget:
+    while evals < budget and best_top > floor:
         mask = 0
         for v in rng.sample(range(n), s):
             mask |= 1 << v
@@ -335,9 +361,7 @@ def heuristic_search(
         evals += 1
         if cur // scale < best_top:
             best_top, best_mask = cur // scale, mask
-        if s == n:
-            break
-        while evals < budget:
+        while evals < budget and best_top > floor:
             outs = [w for w in range(n) if not mask >> w & 1]
             move = -1  # no candidate scored yet (scores are >= 0)
             for u in members:

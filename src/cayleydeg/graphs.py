@@ -86,14 +86,19 @@ class VertexSet:
         return f"VertexSet({self.n}, {{{','.join(map(str, self.members()))}}})"
 
 
+# _BYTE_BITS[b]: the positions of the set bits of the byte b, ascending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def _bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a nonnegative int, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Positions of the set bits of a nonnegative int, ascending.
+
+    One table lookup per nonzero byte, so the cost is linear in the bit
+    length of mask (peeling off the lowest bit would copy the whole int once
+    per set bit).
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 def _as_vertex_set(n: int, U) -> VertexSet:
@@ -127,9 +132,20 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             count += 1
+        self._set(n, tuple(masks), count)
+
+    def _set(self, n: int, adj_masks: tuple[int, ...], edge_count: int) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj_masks", tuple(masks))
-        object.__setattr__(self, "edge_count", count)
+        object.__setattr__(self, "adj_masks", adj_masks)
+        object.__setattr__(self, "edge_count", edge_count)
+
+    @classmethod
+    def _from_masks(cls, n: int, adj_masks: tuple[int, ...], edge_count: int) -> "Graph":
+        """A graph from adjacency masks that are already symmetric, loop-free
+        and within 0..n-1, with edge_count their number of edges; unchecked."""
+        X = object.__new__(cls)
+        X._set(n, adj_masks, edge_count)
+        return X
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bit_indices(self.adj_masks[v]))
@@ -338,7 +354,8 @@ def builtin_graph(name: str) -> Graph:
             return Graph(m, ((i, (i + 1) % m) for i in range(m)))
         if m < 1:
             raise ValueError(f"complete graph needs at least 1 vertex, got {m}")
-        return Graph(m, ((i, j) for i in range(m) for j in range(i + 1, m)))
+        full = (1 << m) - 1
+        return Graph._from_masks(m, tuple(full ^ (1 << v) for v in range(m)), m * (m - 1) // 2)
     raise ValueError(f"unknown builtin graph {name!r}")
 
 

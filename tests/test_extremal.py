@@ -427,7 +427,8 @@ def test_heuristic_matches_from_scratch_reference():
     assert graphs >= 2000
 
 
-def test_heuristic_evaluates_the_only_subset_once(monkeypatch):
+def _sample_counter(monkeypatch):
+    """A list that grows by one for every random.Random.sample call."""
     calls = []
     sample = random.Random.sample
 
@@ -436,12 +437,57 @@ def test_heuristic_evaluates_the_only_subset_once(monkeypatch):
         return sample(self, *args, **kwargs)
 
     monkeypatch.setattr(random.Random, "sample", counted)
+    return calls
+
+
+def test_heuristic_evaluates_the_only_subset_once(monkeypatch):
+    calls = _sample_counter(monkeypatch)
     X = builtin_graph("petersen")
     for budget in (1, 2, 400, 10_000):
         calls.clear()
         res = heuristic_search(X, X.n, seed=5, budget=budget)
         assert len(calls) == 1
         assert (res.f_value, res.witness_subset.mask) == (3, (1 << X.n) - 1)
+
+
+def test_degree_floor_never_exceeds_exact_f():
+    graphs = [_oracle_graph(index, seed) for seed in range(3) for index in range(40)]
+    graphs += [Graph(n, []) for n in (1, 2, 7)]
+    graphs += [builtin_graph(f"complete:{m}") for m in (1, 2, 5, 9)]
+    graphs += [builtin_graph(name) for name in ("petersen", "cycle:7", "q3")]
+    for X in graphs:
+        for s in range(1, X.n + 1):
+            floor = extremal._degree_floor(X, s)
+            f = min_max_degree(X, s).f_value
+            assert 0 <= floor <= f, (X, s, floor, f)
+        # both ends are exact: one vertex has degree 0, and at s = n the
+        # only subset has the max degree of X
+        assert extremal._degree_floor(X, 1) == 0
+        assert extremal._degree_floor(X, X.n) == X.max_degree()
+    for m in (1, 2, 5, 9):  # K_m: every s-subset induces K_s
+        X = builtin_graph(f"complete:{m}")
+        assert [extremal._degree_floor(X, s) for s in range(1, m + 1)] == list(range(m))
+
+
+def test_heuristic_stops_at_the_degree_floor(monkeypatch):
+    # every s-subset of an edgeless graph meets the floor 0, and every
+    # s-subset of K_m the floor s - 1: the first subset drawn ends the search
+    calls = _sample_counter(monkeypatch)
+    for n in (1, 5, 12):
+        for X, f in ((Graph(n, []), lambda s: 0), (builtin_graph(f"complete:{n}"), lambda s: s - 1)):
+            for s in range(1, n + 1):
+                calls.clear()
+                res = heuristic_search(X, s, seed=3, budget=10_000)
+                assert len(calls) == 1
+                assert res.f_value == f(s) and res.witness_subset.size == s
+
+
+def test_heuristic_restarts_over_the_oracle_suite_are_pinned(monkeypatch):
+    # the restarts the early stop leaves over oracle_agreement_suite(100):
+    # without it the heuristic spends every budget and draws 16,735 subsets
+    calls = _sample_counter(monkeypatch)
+    oracle_agreement_suite(100, seed=0)
+    assert len(calls) == 2463
 
 
 # sha256 of "\n".join(oracle_agreement_suite(100, seed=0)): exact f, the

@@ -430,3 +430,38 @@ def test_hypercube_catalog_is_the_cayley_graph_of_z2_power():
     for name in ("q0", "q13"):
         with pytest.raises(ValueError, match="hypercube dimension"):
             builtin_graph(name)
+
+
+def _peeled_bits(mask):
+    """Set-bit positions, lowest first, by peeling off one bit per step."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bit_indices_match_the_peel():
+    from cayleydeg.graphs import _bit_indices
+
+    rng = random.Random(64)
+    widths = list(range(0, 70)) + [127, 128, 129, 1000, 4096, 9973, 10_000]
+    for n in widths:
+        masks = [0, (1 << n) - 1]
+        masks += [rng.getrandbits(n) for _ in range(5)]
+        if n:  # sparse masks, and one bit alone at the top
+            masks += [sum(1 << v for v in rng.sample(range(n), min(n, 3))), 1 << (n - 1)]
+        for mask in masks:
+            assert _bit_indices(mask) == _peeled_bits(mask), (n, mask)
+            assert VertexSet(n, mask).members() == _peeled_bits(mask)
+
+
+def test_complete_catalog_graph_matches_its_edge_list():
+    for m in range(1, 65):
+        X = builtin_graph(f"complete:{m}")
+        expected = Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+        assert X == expected and X.edge_count == expected.edge_count == m * (m - 1) // 2
+        assert X.is_regular() and X.max_degree() == m - 1
+    with pytest.raises(ValueError, match="complete graph needs at least 1 vertex"):
+        builtin_graph("complete:0")

@@ -163,6 +163,39 @@ def test_table_validation_errors():
         make_group({"table": [[0, 1, 2], [1, 2, 0]]})  # not square
 
 
+def test_table_entry_errors_name_the_first_bad_entry():
+    from cayleydeg.groups import _validate_table
+
+    z5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+
+    def with_entry(i, j, v):
+        t = [list(row) for row in z5]
+        t[i][j] = v
+        return t
+
+    cases = [
+        (with_entry(2, 3, -1), "table entry -1 in row 2 is out of range"),
+        (with_entry(1, 4, 5), "table entry 5 in row 1 is out of range"),
+        (with_entry(3, 0, 3.0), "table entry 3.0 in row 3 is out of range"),
+        (with_entry(4, 2, 2**70), f"table entry {2**70} in row 4 is out of range"),
+        (with_entry(4, 4, np.int64(3)), "table entry np.int64(3) in row 4 is out of range"),
+        # the last row of a larger table: the loop runs only on the error path
+        ([[(i + j) % 300 for j in range(300)] for i in range(299)] + [[0] * 299 + [300]],
+         "table entry 300 in row 299 is out of range"),
+        # rows are checked in order: a bad entry before a short row, and after
+        (with_entry(1, 0, 7)[:3] + [[0, 1]] + z5[4:], "table entry 7 in row 1 is out of range"),
+        ([[0, 1]] + with_entry(1, 0, 7)[1:], "table row 0 has length 2, expected 5"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError) as err:
+            _validate_table(table)
+        assert str(err.value) == message
+    with pytest.raises(TypeError):  # a row that is not a sequence
+        _validate_table(z5[:4] + [5])
+    with pytest.raises(ValueError, match="entry 9 in row 0"):
+        _validate_table([with_entry(0, 1, 9)[0]] + z5[1:4] + [5])
+
+
 def _reference_validate_table(table):
     """The Latin, identity and inverse checks as Python loops over the rows
     and columns, then Light's test."""
