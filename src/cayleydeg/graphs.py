@@ -132,19 +132,18 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             count += 1
-        self._set(n, tuple(masks), count)
-
-    def _set(self, n: int, adj_masks: tuple[int, ...], edge_count: int) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj_masks", adj_masks)
-        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "adj_masks", tuple(masks))
+        object.__setattr__(self, "edge_count", count)
 
     @classmethod
     def _from_masks(cls, n: int, adj_masks: tuple[int, ...], edge_count: int) -> "Graph":
         """A graph from adjacency masks that are already symmetric, loop-free
         and within 0..n-1, with edge_count their number of edges; unchecked."""
         X = object.__new__(cls)
-        X._set(n, adj_masks, edge_count)
+        object.__setattr__(X, "n", n)
+        object.__setattr__(X, "adj_masks", adj_masks)
+        object.__setattr__(X, "edge_count", edge_count)
         return X
 
     def neighbors(self, v: int) -> tuple[int, ...]:

@@ -128,39 +128,21 @@ class FiniteGroup:
         return bool((t == t.T).all())
 
 
-def _entry_array(t: tuple[tuple, ...], n: int) -> np.ndarray | None:
-    """t as an n x n intp array, or None unless every row has n entries and
-    every entry is an int (subclasses such as bool included) in 0..n-1."""
-    if any(len(row) != n for row in t) or not all(
-        issubclass(tp, int) for tp in set(map(type, chain.from_iterable(t)))
-    ):
-        return None
-    try:
-        arr = np.array(t, dtype=np.intp)
-    except OverflowError:  # an entry beyond intp is out of range
-        return None
-    return arr if arr.min() >= 0 and arr.max() < n else None
-
-
 def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table is empty")
-    try:
-        t = tuple(map(tuple, table))
-    except TypeError:  # a row that is not a sequence; the loop below meets it
-        t = None
-    arr = None if t is None else _entry_array(t, n)
-    if arr is None:
-        # the first bad row or entry, in row order: checked entry by entry
-        # only here, on the error path
-        for i, row in enumerate(table):
-            row = tuple(row)
-            if len(row) != n:
-                raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValueError(f"table entry {v!r} in row {i} is out of range")
+    rows = []
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValueError(f"table entry {v!r} in row {i} is out of range")
+        rows.append(row)
+    t = tuple(rows)
+    arr = np.array(t, dtype=np.intp)
     idx = np.arange(n)
 
     # Latin square: the first bad line, row i before column i

@@ -482,22 +482,18 @@ def test_heuristic_stops_at_the_degree_floor(monkeypatch):
                 assert res.f_value == f(s) and res.witness_subset.size == s
 
 
-def test_heuristic_restarts_over_the_oracle_suite_are_pinned(monkeypatch):
-    # the restarts the early stop leaves over oracle_agreement_suite(100):
-    # without it the heuristic spends every budget and draws 16,735 subsets
-    calls = _sample_counter(monkeypatch)
-    oracle_agreement_suite(100, seed=0)
-    assert len(calls) == 2463
-
-
 # sha256 of "\n".join(oracle_agreement_suite(100, seed=0)): exact f, the
 # branch-and-bound checks and every heuristic value h
 ORACLE_100_SHA256 = "798c732d34f814766c59283af22ff34efc47b887560c873fb938178d6305ca6d"
 
 
-def test_oracle_suite_lines_are_pinned():
+def test_oracle_suite_lines_are_pinned(monkeypatch):
+    calls = _sample_counter(monkeypatch)
     lines = oracle_agreement_suite(100, seed=0)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_100_SHA256
+    # the restarts the early stop leaves: without it the heuristic spends
+    # every budget and draws 16,735 subsets
+    assert len(calls) == 2463
 
 
 def _oracle_graph(index, seed=0):
