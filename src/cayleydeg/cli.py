@@ -48,7 +48,7 @@ from .signing import (
     spectrum_to_csv,
     verify_signing,
 )
-from .witness import DEFAULT_LIFT_CAP, abelian_witness
+from .witness import abelian_witness
 
 __all__ = ["main", "entry", "RunConfig"]
 
@@ -173,7 +173,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     G = make_group(args.group)
     S = make_generating_set(G, _parse_elements(G, args.gens))
     subset = _parse_subset(G, args.subset)
-    report = abelian_witness(G, S, subset, cap=args.cap)
+    report = abelian_witness(G, S, subset)
     _write_or_print(_resolve_out(cfg, args.out), report.to_json())
     return 0
 
@@ -317,8 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--group", required=True)
     w.add_argument("--gens", required=True)
     w.add_argument("--subset", required=True, help="element tokens, or @file with a JSON list")
-    w.add_argument("--cap", type=int, default=DEFAULT_LIFT_CAP,
-                   help="bound on m^d, the lift's source size")
     w.add_argument("--out", default=None)
     w.set_defaults(func=cmd_witness)
 

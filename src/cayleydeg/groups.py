@@ -138,7 +138,7 @@ def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
         rows.append(row)
     t = tuple(rows)
@@ -227,15 +227,9 @@ def _table_group(table: Sequence[Sequence[int]], name: str) -> FiniteGroup:
 
 def _dihedral_table(n: int) -> list[list[int]]:
     # element f*n + k stands for s^f r^k; s r^k s = r^-k
-    size = 2 * n
-    t = [[0] * size for _ in range(size)]
-    for f1 in (0, 1):
-        for k1 in range(n):
-            for f2 in (0, 1):
-                for k2 in range(n):
-                    k = (k2 + (k1 if f2 == 0 else -k1)) % n
-                    t[f1 * n + k1][f2 * n + k2] = (f1 ^ f2) * n + k
-    return t
+    f1, k1, f2, k2 = np.ix_(range(2), range(n), range(2), range(n))
+    k = (k2 + (1 - 2 * f2) * k1) % n
+    return ((f1 ^ f2) * n + k).reshape(2 * n, 2 * n).tolist()
 
 
 def _symmetric_perms(n: int) -> list[tuple[int, ...]]:

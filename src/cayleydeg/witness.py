@@ -25,6 +25,9 @@ neighbors of u inside U, where d = t + (number of inverse pairs) counts the
    s_0, ..., s_{d-1} in G.  The shift, the cube copy and the signs are read
    off G with O(d |G|) work besides the 2^d-corner cube step, never building
    the m^d points (make_lift still tabulates A, for tests and tracing).
+   Lifted indices are computed for the reported corner only; the corners
+   are ordered by a 2^d key of bit flips, so the only budget is 2^d <=
+   DEFAULT_LIFT_CAP, refused before any work.
    Checked exactly instead of a fiber count: every q_j = [H_j : H_{j+1}] of
    the chain H_j = <s_j, ..., s_{d-1}> divides m and H_0 = G; sum_g c[g] =
    2^d |U|; the best count exceeds 2^(d-1); the cube copy's membership count
@@ -207,14 +210,12 @@ def _cube_vertex(
 def _cube_indices(moduli: tuple[int, ...], digits: Sequence[int]) -> np.ndarray:
     """Mixed-radix index of r + e_T for every subset-mask T (bit i of the
     mask is coordinate i), where r has the given digits; built by doubling so
-    no 2^d x d table is materialized.  Indices beyond int64 stay exact as
-    Python ints."""
+    no 2^d x d table is materialized."""
     d = len(moduli)
     pv = [1] * d
     for i in range(d - 2, -1, -1):
         pv[i] = pv[i + 1] * moduli[i + 1]
-    fits = pv[0] * moduli[0] <= np.iinfo(np.int64).max
-    verts = np.zeros(1, dtype=np.int64 if fits else object)
+    verts = np.zeros(1, dtype=np.int64)
     for i in range(d):
         zero_off = int(digits[i]) * pv[i]
         one_off = (int(digits[i]) + 1) % moduli[i] * pv[i]
@@ -223,14 +224,14 @@ def _cube_indices(moduli: tuple[int, ...], digits: Sequence[int]) -> np.ndarray:
 
 
 def _cube_best(
-    d: int, verts: np.ndarray, member: np.ndarray, cube_points: int
+    d: int, key: np.ndarray, member: np.ndarray, cube_points: int
 ) -> tuple[int, int, list[tuple[int, int, int]]]:
     """The hypercube half of the witness, shared by both certificates.
 
-    verts[T] is the lifted index of the d-cube corner with subset-mask T and
-    member[T] says whether that corner lies in the subset.  Returns (u_mask,
-    k, steps): the member of maximum induced cube degree k (ties to the
-    smallest verts entry) and one (i, sign, neighbor mask) step per in-subset
+    key[T] orders the d-cube corner with subset-mask T as its lifted index
+    does, and member[T] says whether that corner lies in the subset.  Returns
+    (u_mask, k, steps): the member of maximum induced cube degree k (ties to
+    the smallest key) and one (i, sign, neighbor mask) step per in-subset
     cube neighbor, in direction order.
     """
     if int(member.sum()) != cube_points:
@@ -249,7 +250,7 @@ def _cube_best(
         )
 
     cand = np.flatnonzero(deg_members == k)
-    u_mask = int(cand[np.argmin(verts[cand])])
+    u_mask = int(cand[np.argmin(key[cand])])
 
     steps = []
     for i in range(d):
@@ -282,22 +283,14 @@ class LinearLift:
         return self.m**self.d
 
 
-def _check_lift(G: FiniteGroup, S: GeneratingSet, cap: int) -> tuple[int, int]:
+def _check_lift(G: FiniteGroup, S: GeneratingSet) -> tuple[int, int]:
     """(m, d) for the lift of S.  Refuses a group that is not a cyclic
-    product, a set that does not generate, and a source of more than cap
-    points, before any work."""
+    product and a set that does not generate, before any work."""
     if not G.moduli:
         raise ValueError("lifts are defined for cyclic-product groups only")
     if not S.generates:
         raise ValueError("the generating set does not generate; fibers would be unequal")
-    m = math.lcm(*G.moduli)
-    d = S.d
-    size = m**d
-    if size > cap:
-        raise BudgetExceeded(
-            f"lift source size {m}^{d} = {size} exceeds the cap {cap}"
-        )
-    return m, d
+    return math.lcm(*G.moduli), S.d
 
 
 def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> LinearLift:
@@ -307,8 +300,12 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
     member per inverse pair, matching GeneratingSet.images().  Errors if the
     source m^d exceeds cap or S does not generate.
     """
-    m, d = _check_lift(G, S, cap)
+    m, d = _check_lift(G, S)
     size = m**d
+    if size > cap:
+        raise BudgetExceeded(
+            f"lift source size {m}^{d} = {size} exceeds the cap {cap}"
+        )
     images = S.images()
 
     # appending coordinate i as the least significant digit: column j of the
@@ -369,31 +366,32 @@ def _least_preimage_order(
     return listed, radices
 
 
-def abelian_witness(
-    G: FiniteGroup,
-    S: GeneratingSet,
-    U,
-    cap: int = DEFAULT_LIFT_CAP,
-) -> WitnessReport:
+def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     """Certified witness for a majority subset of a cyclic-product Cayley graph.
 
     Runs the cube witness of the preimage of U in Z_m^d and maps the result
     down, working on G alone: the lifted cover count at r is c[A(r)] for
     the box sum c of U along the direction representatives, the shift is
     the least preimage of the first maximum of c, and the cube copy is read
-    off A(r) along the translation rows.  For each chosen direction the +1
+    off A(r) along the translation rows.  Lifted indices are computed for
+    the reported corner only; the cube's 2^d corners, at most
+    DEFAULT_LIFT_CAP, are the only budget.  For each chosen direction the +1
     sign is preferred when both neighbors u +- s_i are in U.  The neighbors
     are re-verified: membership in U, pairwise distinctness, adjacency via
     the group operation, and the exact bound k^2 >= d.
     """
     if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
+    if 1 << S.d > DEFAULT_LIFT_CAP:
+        raise BudgetExceeded(
+            f"witness cube has 2^{S.d} = {1 << S.d} corners, above the cap {DEFAULT_LIFT_CAP}"
+        )
     U = _as_vertex_set(G.order, U)
     if 2 * U.size <= G.order:
         raise ValueError(
             f"subset has {U.size} of {G.order} vertices; a strict majority is required"
         )
-    m, d = _check_lift(G, S, cap)
+    m, d = _check_lift(G, S)
     images = S.images()
     rows = G.translations(images)
     listed, radices = _least_preimage_order(G, images, m)
@@ -411,37 +409,36 @@ def abelian_witness(
         raise InvariantBreach(
             f"covering bound failed: best shift count {cube_points} <= 2^{d - 1}"
         )
-    digits = np.unravel_index(p, radices)
-    r = sum(int(x) * m ** (d - 1 - j) for j, x in enumerate(digits))
+    digits = [int(x) for x in np.unravel_index(p, radices)]
+    r = sum(x * m ** (d - 1 - j) for j, x in enumerate(digits))
 
-    verts = _cube_indices((m,) * d, digits)
+    # key orders the corners as their lifted indices do: bit j of corner T
+    # raises digit j, unless that digit is m - 1 and wraps to 0
     corners = listed[p : p + 1]
-    for row in rows:
+    key = np.zeros(1, dtype=np.int64)
+    for j, row in enumerate(rows):
         corners = np.concatenate([corners, row[corners]])
-    u_mask, k, steps = _cube_best(d, verts, u_ind[corners].astype(bool), cube_points)
-    h = int(verts[u_mask])
+        w = 1 << (d - 1 - j)
+        lo, hi = (w, 0) if digits[j] == m - 1 else (0, w)
+        key = np.concatenate([key + lo, key + hi])
+    u_mask, k, steps = _cube_best(d, key, u_ind[corners].astype(bool), cube_points)
+    h = sum((x + (u_mask >> j & 1)) % m * m ** (d - 1 - j) for j, x in enumerate(digits))
     u = int(corners[u_mask])
 
     signs = []
     neighbors = []
-    for i, _, _ in steps:
+    for i, _, nb_mask in steps:
+        # corners[nb_mask] is u - s_i whenever u + s_i is not in U
         plus = int(rows[i, u])
-        minus = G.mul(G.inv(images[i]), u)
-        for sign, v in ((1, plus), (-1, minus)):
-            if v in U:
-                signs.append((i, sign))
-                neighbors.append(v)
-                break
-        else:
-            raise InvariantBreach(
-                f"neither lifted neighbor along direction {i} is in the preimage"
-            )
+        sign, v = (1, plus) if plus in U else (-1, int(corners[nb_mask]))
+        signs.append((i, sign))
+        neighbors.append(v)
 
     checks = {}
     checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
     in_u = u in U and all(v in U for v in neighbors)
-    # the Cayley neighbors of u are s*u for s in S
-    adjacency = set(neighbors) <= set(G.translations(S.sorted_elements())[:, u].tolist())
+    # the Cayley neighbors of u are s*u = u*s for s in S
+    adjacency = set(neighbors) <= set(G.translations([u])[0, S.sorted_elements()].tolist())
     checks["adjacency"] = bool(adjacency and in_u)
     checks["bound"] = k * k >= d
     if not all(checks.values()):
@@ -470,7 +467,7 @@ def _suite_worker(item: tuple[int, int]) -> str:
     index, seed = item
     rng = random.Random(f"{seed}:{index}")
     # every 25th instance allows a larger lift source m^d, which the
-    # certificate bounds by its cap but never builds
+    # certificate never builds
     size_target = (1 << 20) if index % 25 == 24 else (1 << 16)
 
     while True:
@@ -482,11 +479,12 @@ def _suite_worker(item: tuple[int, int]) -> str:
             break
 
     G = make_group(moduli)
+    inverses = G.inverses.tolist()
     elems = set()
     for i in range(k):
         g = G.encode([1 if j == i else 0 for j in range(k)])
         elems.add(g)
-        elems.add(G.inv(g))
+        elems.add(inverses[g])
     # extras keep m^d under the size target: each unit adds at most one image
     room = min(2, d_max - k)
     n_extra = rng.randint(0, room) if room > 0 else 0
@@ -495,11 +493,11 @@ def _suite_worker(item: tuple[int, int]) -> str:
         rng.shuffle(pool)
         for g in pool[:n_extra]:
             elems.add(g)
-            elems.add(G.inv(g))
+            elems.add(inverses[g])
 
     S = make_generating_set(G, sorted(elems))
     U = sorted(rng.sample(range(G.order), G.order // 2 + 1))
-    rep = abelian_witness(G, S, U, cap=size_target)
+    rep = abelian_witness(G, S, U)
 
     if 2 * rep.k * rep.k < S.size + S.t:
         raise InvariantBreach(

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from cayleydeg.cli import _build_parser, main
-from cayleydeg.witness import DEFAULT_LIFT_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,6 +95,29 @@ def test_witness_needs_majority(capsys):
     rc = main(["witness", "--group", "z6", "--gens", "1,5", "--subset", "0,1"])
     assert rc == 2
     assert "majority" in capsys.readouterr().err
+
+
+def test_witness_subset_file_takes_coordinate_lists(tmp_path, capsys):
+    # (0,0), (1,0), (2,0), (0,1) of z3x2 are the indices 0, 2, 4, 1
+    subset = tmp_path / "u.json"
+    subset.write_text("[[0,0],[1,0],[2,0],[0,1]]")
+    command = ["witness", "--group", "z3x2", "--gens", "e1,(2,0),e2", "--subset"]
+    assert main(command + [f"@{subset}"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(command + ["0,2,4,1"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert json.loads(from_file)["k"] == 2
+
+
+def test_witness_certifies_a_lift_beyond_the_cube_budget(tmp_path, capsys):
+    # z97x97 with 10 directions: a 97^10-point lift, but only 2^10 cube corners
+    gens = ",".join(["(0,1)", "(0,96)"] + [f"({a},0),({97 - a},0)" for a in range(1, 10)])
+    subset = tmp_path / "u.json"
+    subset.write_text(json.dumps([[a, b] for a in range(97) for b in range(40, 97)]))
+    assert main(["witness", "--group", "z97x97", "--gens", gens, "--subset", f"@{subset}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["vertex"], report["k"], report["d"]) == (40, 10, 10)
+    assert report["trace"]["lifted_vertex"] == 40 * 97**9
 
 
 def test_scan_stdout_csv(capsys):
@@ -328,9 +350,55 @@ def test_scan_takes_every_catalog_graph(capsys):
     assert "scanned 1 instance(s)" in captured.err
 
 
-def test_witness_cap_default_is_the_library_default():
-    args = _build_parser().parse_args(["witness", "--group", "z6", "--gens", "1,5", "--subset", "0"])
-    assert args.cap == DEFAULT_LIFT_CAP
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        pytest.param(["build", "--group", '{"table": [[0, true], [true, 0]]}', "--gens", "1"],
+                     None, "table entry True in row 0 is out of range", id="bool-table"),
+        (["build", "--group", "z4x2", "--gens", "(1,0"], None,
+         "unbalanced parentheses in '(1,0'"),
+        (["build", "--group", "z4x2", "--gens", "1),(0,1"], None,
+         "unbalanced parentheses in '1),(0,1'"),
+        (["build", "--group", "s3", "--gens", "(1,0)"], None,
+         "tuple element tokens need a cyclic-product group"),
+        (["build", "--group", "s3", "--gens", "e1"], None,
+         "basis tokens e1..ek need a cyclic-product group"),
+        (["build", "--group", "z4x2", "--gens", "(1,0,0)"], None,
+         "tuple (1,0,0) has 3 coordinates, group has 2"),
+        (["build", "--group", "z4x2", "--gens", "e3"], None,
+         "basis token e3 out of range for 2 coordinates"),
+        (["build", "--group", "z4", "--gens", "x"], None, "cannot parse element token 'x'"),
+        (["build", "--group", "dihedral:0", "--gens", "1"], None,
+         "dihedral parameter must be >= 1, got 0"),
+        (["build", "--group", "alt:6", "--gens", "1"], None,
+         "alternating groups are supported for 1 <= n <= 5, got 6"),
+        (["build", "--group", "dihedral:x", "--gens", "1"], None,
+         "bad parameter in group spec 'dihedral:x'"),
+        (["build", "--group", '{"tables": []}', "--gens", "1"], None,
+         "group dict spec must contain a 'table' key"),
+        (["build", "--group", '{"table": []}', "--gens", "1"], None,
+         "multiplication table is empty"),
+        (["witness", "--group", "z6", "--gens", "1,5", "--subset", "@FILE"], '{"a": 1}',
+         "subset file must hold a JSON list"),
+        (["signing", "verify", "--c", "1", "--in", "FILE"], '{"n":2,"signs":[[0,1,1],[0,1,1]]}',
+         "duplicate edge (0,1)"),
+    ],
+)
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, command, text, message):
+    if text is not None:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        command = [arg.replace("FILE", str(path)) for arg in command]
+    assert main(command) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_scan_single_order_means_from_2(capsys):
+    assert main(["scan", "--abelian-orders", "4"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 8
+    assert main(["scan", "--abelian-orders", "2..4"]) == 0
+    assert capsys.readouterr().out.strip().split("\n")[1:] == rows
 
 
 def test_deeply_nested_group_spec_exits_2_without_a_traceback(capsys):

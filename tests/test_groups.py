@@ -210,7 +210,7 @@ def _reference_validate_table(table):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
         rows.append(row)
     t = tuple(rows)
@@ -260,7 +260,7 @@ def _corrupt(rng, t):
                 _switch_intercalate(t, *rng.choice(quads))
     elif kind == 5:  # a bad entry: out of range, negative, float or numpy int
         t[r][c] = rng.choice([n, -1, float(t[r][c]), np.int64(t[r][c]), "0"])
-    elif kind == 6:  # an int subclass: valid
+    elif kind == 6:  # a bool, an int subclass that JSON spells true/false: refused
         t[r][c] = bool(t[r][c]) if t[r][c] < 2 else t[r][c]
     elif kind == 7:  # a ragged row
         t[r] = t[r][:-1] if rng.random() < 0.5 else t[r] + [0]
@@ -299,6 +299,8 @@ def test_table_validation_matches_the_loop_reference():
         "table entry #.# in row # is out of range",
         "table entry '#' in row # is out of range",
         "table entry np.int#(#) in row # is out of range",
+        "table entry True in row # is out of range",
+        "table entry False in row # is out of range",
         "table row # is not a permutation of #..#",
         "table column # is not a permutation of #..#",
         "index # does not act as a two-sided identity",
@@ -313,6 +315,28 @@ def test_custom_table_accepted():
     assert G.order == 3
     assert G.is_abelian
     assert element_order(G, 1) == 3
+
+
+def _reference_dihedral_table(n):
+    """The dihedral table as the loop over (f1, k1, f2, k2) it is defined by."""
+    size = 2 * n
+    t = [[0] * size for _ in range(size)]
+    for f1 in (0, 1):
+        for k1 in range(n):
+            for f2 in (0, 1):
+                for k2 in range(n):
+                    k = (k2 + (k1 if f2 == 0 else -k1)) % n
+                    t[f1 * n + k1][f2 * n + k2] = (f1 ^ f2) * n + k
+    return t
+
+
+def test_dihedral_table_matches_the_loop_reference():
+    from cayleydeg.groups import _dihedral_table
+
+    for n in range(1, 17):
+        t = _dihedral_table(n)
+        assert t == _reference_dihedral_table(n), n
+        assert all(type(v) is int for row in t for v in row), n
 
 
 def test_dihedral_structure():

@@ -12,7 +12,7 @@ import pytest
 
 from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import VertexSet, build_cayley, induced_max_degree
-from cayleydeg.groups import make_generating_set, make_group
+from cayleydeg.groups import FiniteGroup, make_generating_set, make_group
 from cayleydeg.witness import (
     WitnessReport,
     abelian_witness,
@@ -216,6 +216,23 @@ def test_random_witness_suite_deterministic():
     assert all(line.endswith("ok") for line in lines1)
     # a different seed must change at least one instance
     assert random_witness_suite(count=12, seed=10) != lines1
+
+
+def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatch):
+    # per instance: one table in make_generating_set, then the direction rows
+    # and the adjacency row of the certificate; a second derivation of the
+    # neighbors would show here as a count, not as a timing
+    calls = []
+    translations = FiniteGroup.translations
+
+    def counted(self, elems):
+        calls.append(len(elems))
+        return translations(self, elems)
+
+    monkeypatch.setattr(FiniteGroup, "translations", counted)
+    lines = random_witness_suite(count=500, seed=0)
+    assert len(lines) == 500 and all(line.endswith("ok") for line in lines)
+    assert len(calls) == 1500
 
 
 def test_random_witness_suite_validates_count():
@@ -445,7 +462,7 @@ def test_abelian_witness_matches_the_lifted_oracle():
     lifts = []
     for G, S, U, cap in _oracle_instances(2000, "oracle"):
         want = _lifted_witness(G, S, U, cap).to_json()
-        assert abelian_witness(G, S, U, cap=cap).to_json() == want, (G.name, S, U)
+        assert abelian_witness(G, S, U).to_json() == want, (G.name, S, U)
         lifts.append(math.lcm(*G.moduli) ** S.d)
     # the families the docstring names are all there
     assert max(lifts) > 1 << 20 and min(lifts) == 2
@@ -500,17 +517,28 @@ def test_lifts_beyond_int64_stay_exact():
     gens = [G.encode((0, 1))] + [G.encode((a, 0)) for a in range(1, 10)]
     S = make_generating_set(G, {x for g in gens for x in (g, G.inv(g))})
     U = [g for g in range(G.order) if G.decode(g)[1] >= 40]
-    rep = abelian_witness(G, S, U, cap=10**20)
+    rep = abelian_witness(G, S, U)
     assert rep.trace["shift"] == rep.trace["lifted_vertex"] == 40 * 97**9 > 1 << 63
     assert rep.trace["cube_points"] == 1 << 10
     assert rep.vertex == G.encode((0, 40)) and rep.k == 10
 
 
 def test_abelian_witness_refuses_before_any_work():
-    G = make_group([8, 8])
-    S = make_generating_set(G, [1, 7, 8, 56, 9, 63])
-    with pytest.raises(BudgetExceeded, match=r"^lift source size 8\^3 = 512 exceeds the cap 100$"):
-        abelian_witness(G, S, range(33), cap=100)
+    # 23 involutions of Z2^13: the 13 basis vectors and 10 sums of two
+    G = make_group([2] * 13)
+    basis = [1 << i for i in range(13)]
+    S = make_generating_set(G, basis + [basis[i] ^ basis[i + 1] for i in range(10)])
+    assert S.d == 23
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            BudgetExceeded, match=r"^witness cube has 2\^23 = 8388608 corners, above the cap 4194304$"
+        ):
+            abelian_witness(G, S, range(G.order // 2 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     H = make_group([6])
     T = make_generating_set(H, [2, 4], allow_nongenerating=True)
     message = "^the generating set does not generate; fibers would be unequal$"
