@@ -1,11 +1,13 @@
 """Order-preserving parallel map over picklable items.
 
 Results are merged by input position, so output is identical for any worker
-count; jobs=1 runs inline without a pool.
+count; jobs=1 runs inline without a pool.  A pool starts at most one worker
+per item and per available CPU, whatever jobs asks for.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -16,6 +18,7 @@ R = TypeVar("R")
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -17,8 +17,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from .errors import BudgetExceeded, load_json
 from .groups import FiniteGroup, GeneratingSet
 
@@ -182,12 +180,10 @@ def build_cayley(G: FiniteGroup, S: GeneratingSet) -> CayleyGraph:
     result is an |S|-regular simple graph (connected exactly when S
     generates).
     """
-    rows = G.translations(S.sorted_elements())
-    g = np.broadcast_to(np.arange(G.order), rows.shape)
+    rows = G.translations(S.sorted_elements()).tolist()
     # s*g = h exactly when s^-1*h = g, so every edge shows up once from each
     # end; keep it at its smaller end
-    up = g < rows
-    graph = Graph(G.order, zip(g[up].tolist(), rows[up].tolist()))
+    graph = Graph(G.order, ((g, h) for row in rows for g, h in enumerate(row) if g < h))
     return CayleyGraph(graph=graph, group=G, gens=S)
 
 

@@ -8,12 +8,14 @@ identity at index 0.  Named builtins (dihedral, symmetric, alternating,
 quaternion) are constructed as validated tables.
 A table is validated exactly at every order up to 2048 (2^22 entries; larger
 ones are refused before they are built or read); associativity by Light's test.
+A table group keeps its table as one read-only intp array; generating sets
+are walked and tested for generation on the rows as plain lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
@@ -40,12 +42,13 @@ ENUMERATION_UNIT_CAP = 24
 _TABLE_ENTRY_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group on indices 0..order-1 with identity at index 0.
 
-    A cyclic product has its moduli and no table; a table group has its table
-    and no moduli.  Multiplication is exposed as left translations:
+    A cyclic product has its moduli and no table; a table group has no moduli
+    and its table, a read-only intp array with table[a, b] = a*b.
+    Multiplication is exposed as left translations:
     translations(elems) has row i equal to L_s with s = elems[i], where
     L_s[g] = s*g, and inverses[a] is the inverse of a.  Every product in the
     package reads these arrays.
@@ -54,7 +57,7 @@ class FiniteGroup:
     order: int
     name: str
     moduli: tuple[int, ...] = ()
-    table: tuple[tuple[int, ...], ...] = ()
+    table: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def identity(self) -> int:
@@ -77,9 +80,7 @@ class FiniteGroup:
             mods = np.array(self.moduli)[:, None, None]
             sums = (c[:, elems, None] + c[:, None, :]) % mods
             return np.ravel_multi_index(tuple(sums), self.moduli)
-        return np.array([self.table[s] for s in elems.tolist()], dtype=np.intp).reshape(
-            elems.size, self.order
-        )
+        return self.table[elems]
 
     @cached_property
     def inverses(self) -> np.ndarray:
@@ -87,7 +88,7 @@ class FiniteGroup:
         if self.moduli:
             mods = np.array(self.moduli)[:, None]
             return np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
-        return np.array([row.index(0) for row in self.table], dtype=np.intp)
+        return np.nonzero(self.table == 0)[1]
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Residue tuple of a cyclic-product element."""
@@ -124,11 +125,10 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         if self.moduli:
             return True
-        t = np.array(self.table, dtype=np.intp)
-        return bool((t == t.T).all())
+        return bool((self.table == self.table.T).all())
 
 
-def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def _validate_table(table: Sequence[Sequence[int]]) -> np.ndarray:
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table is empty")
@@ -141,8 +141,7 @@ def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
         rows.append(row)
-    t = tuple(rows)
-    arr = np.array(t, dtype=np.intp)
+    arr = np.array(rows, dtype=np.intp)
     idx = np.arange(n)
 
     # Latin square: the first bad line, row i before column i
@@ -166,7 +165,8 @@ def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
         raise ValueError(f"element {int(bad[0])} has no two-sided inverse")
 
     _check_associative(arr)
-    return t
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_associative(t: np.ndarray) -> None:
@@ -402,18 +402,20 @@ class GeneratingSet:
         return self.order2 + tuple(p[0] for p in self.pairs)
 
 
-def _generates(rows: np.ndarray) -> bool:
+def _generates(rows: list[list[int]]) -> bool:
     """Whether the elements with these translation rows generate the group:
-    a breadth-first search from the identity along the rows."""
-    seen = np.zeros(rows.shape[1], dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        reached = np.zeros_like(seen)
-        reached[rows[:, frontier]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-    return bool(seen.all())
+    a depth-first search from the identity along the rows."""
+    seen = bytearray(len(rows[0]))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        g = stack.pop()
+        for row in rows:
+            h = row[g]
+            if not seen[h]:
+                seen[h] = 1
+                stack.append(h)
+    return all(seen)
 
 
 def make_generating_set(
@@ -436,7 +438,7 @@ def make_generating_set(
             )
 
     members = sorted(elements)
-    generates = _generates(G.translations(members))
+    generates = _generates(G.translations(members).tolist())
     if not generates and not allow_nongenerating:
         raise ValueError("set does not generate the group (pass allow_nongenerating to accept)")
     return GeneratingSet(
@@ -462,6 +464,8 @@ def enumerate_symmetric_generating_sets(
     """
     inv = G.inverses.tolist()
     units: list[tuple[int, ...]] = [(x,) for x in range(1, G.order) if inv[x] == x]
+    # involutions are bits 0..t-1 of a mask, pairs the bits above them
+    t, low = len(units), (1 << len(units)) - 1
     units += [(x, inv[x]) for x in range(1, G.order) if x < inv[x]]
     u = len(units)
     if u > ENUMERATION_UNIT_CAP:
@@ -469,26 +473,19 @@ def enumerate_symmetric_generating_sets(
             f"{G.name} has {u} involutions and inverse pairs; walking their "
             f"2^{u} - 1 subsets exceeds the enumeration cap of {ENUMERATION_UNIT_CAP} units"
         )
-    rows = G.translations(range(G.order))
+    rows = G.translations(range(G.order)).tolist()
     limit = max_size if max_size is not None else G.order
 
     for mask in range(1, 1 << u):
-        chosen: list[tuple[int, ...]] = []
-        total = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                chosen.append(units[i])
-                total += len(units[i])
-                if total > limit:
-                    break
-            m >>= 1
-            i += 1
-        if total > limit:
+        if (mask & low).bit_count() + 2 * (mask >> t).bit_count() > limit:
             continue
-        members = [x for unit in chosen for x in unit]
-        if not _generates(rows[members]):
+        chosen = []
+        m = mask
+        while m:  # one step per chosen unit, lowest bit first
+            bit = m & -m
+            chosen.append(units[bit.bit_length() - 1])
+            m ^= bit
+        if not _generates([rows[x] for unit in chosen for x in unit]):
             continue
         yield GeneratingSet(
             order2=tuple(unit[0] for unit in chosen if len(unit) == 1),

@@ -215,7 +215,8 @@ class Spectrum:
 
 
 def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
-    """Eigenvalues of a signed adjacency matrix, from LAPACK (eigvalsh).
+    """Eigenvalues of a signed adjacency matrix, from LAPACK (eigvalsh, which
+    returns them in ascending order).
 
     Sizes up to SPECTRUM_SIZE_CAP are supported.  Input that is not a square
     2-D array raises ValueError, as in verify_signing; RuntimeError means the
@@ -231,7 +232,6 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
         vals = np.linalg.eigvalsh(mat.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    vals = np.sort(vals)
     return Spectrum(eigenvalues=vals, min_modulus=float(np.abs(vals).min()))
 
 

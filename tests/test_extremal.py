@@ -730,3 +730,38 @@ def test_exhaustive_refuses_totals_past_int64(monkeypatch):
     for fix_zero in (False, True):
         with pytest.raises(BudgetExceeded, match="int64"):
             min_max_degree(X, 35, budget=10**30, contains_zero=fix_zero)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and maps in this process, so no pool is ever started."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        _InlineExecutor.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, count, cpus, workers",
+    [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 100, 64, 4), (8, 100, None, 1)],
+)
+def test_parallel_map_starts_at_most_one_worker_per_item_and_cpu(
+    monkeypatch, jobs, count, cpus, workers
+):
+    from cayleydeg import _parallel
+
+    _InlineExecutor.asked = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+    assert _parallel.parallel_map(abs, range(-count, 0), jobs=jobs) == list(range(count, 0, -1))
+    assert _InlineExecutor.asked == [workers]

@@ -243,7 +243,7 @@ def test_import_errors():
 
 def _scalar_mul(G, a, b):
     """Reference product: the table entry, or mixed-radix digit sums."""
-    if G.table:
+    if G.table is not None:
         return G.table[a][b]
     out, place = 0, 1
     for m in reversed(G.moduli):

@@ -289,7 +289,7 @@ def test_table_validation_matches_the_loop_reference():
             assert str(err.value) == str(exc), t
             seen.add(re.sub(r"\d+", "#", str(exc)))
             continue
-        assert _validate_table(t) == want
+        assert _validate_table(t).tolist() == [list(row) for row in want]
         seen.add("valid")
     assert seen == {
         "valid",
@@ -624,3 +624,25 @@ def test_enumeration_cap_bounds_the_walk_not_the_order():
     # inverse pairs, within the default cap of 24 units
     first = next(enumerate_symmetric_generating_sets(make_group([48]), max_size=2))
     assert first.elements == frozenset({1, 47})
+
+
+@pytest.mark.parametrize("max_size, tested, sets", [(5, 4_943, 3_528), (None, 32_767, 31_232)])
+def test_walk_tests_only_candidates_within_the_size_limit(monkeypatch, max_size, tested, sets):
+    # Z2^4 has 15 involutions and no pairs: the size test alone decides which
+    # of the 2^15 - 1 subsets reach the generation test
+    calls = {"generates": 0, "translations": 0}
+    generates, translations = groups._generates, FiniteGroup.translations
+
+    def counted_generates(rows):
+        calls["generates"] += 1
+        return generates(rows)
+
+    def counted_translations(self, elems):
+        calls["translations"] += 1
+        return translations(self, elems)
+
+    G = make_group([2, 2, 2, 2])
+    monkeypatch.setattr(groups, "_generates", counted_generates)
+    monkeypatch.setattr(FiniteGroup, "translations", counted_translations)
+    found = sum(1 for _ in enumerate_symmetric_generating_sets(G, max_size=max_size))
+    assert (calls["generates"], found, calls["translations"]) == (tested, sets, 1)
