@@ -13,6 +13,7 @@ whose entries must be lists of ints.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -55,6 +56,7 @@ class VertexSet:
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
         mask = 0
         for v in members:
+            v = operator.index(v)  # a numpy integer would overflow the shift
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range 0..{n - 1}")
             mask |= 1 << v

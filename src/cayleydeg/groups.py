@@ -5,11 +5,15 @@ Two representations are supported: products of cyclic groups Z_m1 x ... x Z_mk
 products index elements in mixed radix with the first modulus most
 significant, so element 0 is always the identity; table groups must place the
 identity at index 0.  Named builtins (dihedral, symmetric, alternating,
-quaternion) are constructed as validated tables.
+quaternion) are constructed as validated tables; all but dihedral, which is
+one numpy broadcast, come from _table_from, which indexes a listed group
+under its product.
 A table is validated exactly at every order up to 2048 (2^22 entries; larger
 ones are refused before they are built or read); associativity by Light's test.
-A table group keeps its table as one read-only intp array; generating sets
-are walked and tested for generation on the rows as plain lists.
+A table group keeps its table as one read-only intp array; the cached
+inverses and residues are read-only too, and an unpickled group is rebuilt
+through __init__, so the arrays stay read-only in every process.  Generating
+sets are walked and tested for generation on the rows as plain lists.
 """
 
 from __future__ import annotations
@@ -59,6 +63,14 @@ class FiniteGroup:
     moduli: tuple[int, ...] = ()
     table: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.table is not None:
+            _read_only(self.table)
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled table is read-only too
+        return FiniteGroup, (self.order, self.name, self.moduli, self.table)
+
     @property
     def identity(self) -> int:
         return 0
@@ -70,7 +82,7 @@ class FiniteGroup:
     def _coords(self) -> np.ndarray:
         # residues of every element, one row per modulus (C order: the first
         # modulus is the most significant digit)
-        return np.array(np.unravel_index(np.arange(self.order), self.moduli))
+        return _read_only(np.array(np.unravel_index(np.arange(self.order), self.moduli)))
 
     def translations(self, elems: Sequence[int]) -> np.ndarray:
         """Left-translation rows: row i is L_s with s = elems[i], L_s[g] = s*g."""
@@ -87,8 +99,10 @@ class FiniteGroup:
         """inverses[a] is the inverse of a."""
         if self.moduli:
             mods = np.array(self.moduli)[:, None]
-            return np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
-        return np.nonzero(self.table == 0)[1]
+            inv = np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
+        else:
+            inv = np.nonzero(self.table == 0)[1]
+        return _read_only(inv)
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Residue tuple of a cyclic-product element."""
@@ -126,6 +140,11 @@ class FiniteGroup:
         if self.moduli:
             return True
         return bool((self.table == self.table.T).all())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _validate_table(table: Sequence[Sequence[int]]) -> np.ndarray:
@@ -232,19 +251,11 @@ def _dihedral_table(n: int) -> list[list[int]]:
     return ((f1 ^ f2) * n + k).reshape(2 * n, 2 * n).tolist()
 
 
-def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
-    return sorted(permutations(range(n)))
-
-
-def _perm_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(perms)}
-    t = []
-    for p in perms:
-        row = []
-        for q in perms:
-            row.append(index[tuple(p[q[i]] for i in range(len(p)))])
-        t.append(row)
-    return t
+def _table_from(elements: list, product) -> list[list[int]]:
+    """Index table of a listed group: entry [a][b] is the index of
+    product(elements[a], elements[b]), so elements[0] must be the identity."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[product(x, y)] for y in elements] for x in elements]
 
 
 def _perm_parity(p: tuple[int, ...]) -> int:
@@ -254,26 +265,23 @@ def _perm_parity(p: tuple[int, ...]) -> int:
     return inversions % 2
 
 
-def _quaternion_table() -> list[list[int]]:
-    # elements 2*axis + sign with axes (1, i, j, k); index 0 is +1
-    prod = {}
-    for a in range(4):
-        prod[(0, a)] = (0, a)
-        prod[(a, 0)] = (0, a)
-    for a in (1, 2, 3):
-        prod[(a, a)] = (1, 0)
-    cyc = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-    for (a, b), c in cyc.items():
-        prod[(a, b)] = (0, c)
-        prod[(b, a)] = (1, c)
-    t = [[0] * 8 for _ in range(8)]
-    for a in range(4):
-        for sa in range(2):
-            for b in range(4):
-                for sb in range(2):
-                    s, c = prod[(a, b)]
-                    t[2 * a + sa][2 * b + sb] = 2 * c + ((sa + sb + s) % 2)
-    return t
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[i] for i in q)  # (p q)(i) = p(q(i))
+
+
+# +1, -1, +i, -i, +j, -j, +k, -k as (1, i, j, k) coefficient 4-tuples
+_Q8 = [tuple(s * (i == a) for i in range(4)) for a in range(4) for s in (1, -1)]
+
+
+def _hamilton(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
 
 
 def make_group(spec) -> FiniteGroup:
@@ -306,7 +314,7 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
     low = s.lower()
     if low in ("q8", "quaternion8"):
-        return _table_group(_quaternion_table(), name="q8")
+        return _table_group(_table_from(_Q8, _hamilton), name="q8")
 
     head, _, arg = low.partition(":")
     if head in ("dihedral", "sym", "alt", "cyclic") and arg:
@@ -337,16 +345,13 @@ def _named_group(family: str, n: int) -> FiniteGroup:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
         _check_table_order(2 * n)
         return _table_group(_dihedral_table(n), name=f"dihedral:{n}")
-    if family == "sym":
-        if not 1 <= n <= 5:
-            raise ValueError(f"symmetric groups are supported for 1 <= n <= 5, got {n}")
-        return _table_group(_perm_table(_symmetric_perms(n)), name=f"sym:{n}")
+    kind = {"sym": "symmetric", "alt": "alternating"}[family]
+    if not 1 <= n <= 5:
+        raise ValueError(f"{kind} groups are supported for 1 <= n <= 5, got {n}")
+    perms = sorted(permutations(range(n)))
     if family == "alt":
-        if not 1 <= n <= 5:
-            raise ValueError(f"alternating groups are supported for 1 <= n <= 5, got {n}")
-        perms = [p for p in _symmetric_perms(n) if _perm_parity(p) == 0]
-        return _table_group(_perm_table(perms), name=f"alt:{n}")
-    raise ValueError(f"unknown group family {family!r}")
+        perms = [p for p in perms if _perm_parity(p) == 0]
+    return _table_group(_table_from(perms, _compose), name=f"{family}:{n}")
 
 
 def element_order(G: FiniteGroup, a: int) -> int:

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
-from .graphs import VertexSet, _as_vertex_set
+from .graphs import _as_vertex_set
 from .groups import FiniteGroup, GeneratingSet, _check_moduli, make_generating_set, make_group
 
 __all__ = [
@@ -75,12 +75,8 @@ def _membership_array(moduli: Sequence[int], U) -> np.ndarray:
             raise ValueError(f"membership array has {U.size} entries, expected {n}")
         ind = (U.reshape(n) != 0).astype(np.int8)
     else:
-        members = _as_vertex_set(n, U).members() if isinstance(U, VertexSet) else list(U)
         ind = np.zeros(n, dtype=np.int8)
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            ind[v] = 1
+        ind[_as_vertex_set(n, U).members()] = 1
     return ind
 
 
@@ -170,10 +166,21 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     an internal invariant breach.
     """
     moduli = _check_moduli(moduli)
-    r, cube_points, u, k, steps = _cube_vertex(moduli, _membership_array(moduli, U))
+    ind = _membership_array(moduli, U)
+    r, cube_points = _cover_shift(moduli, ind)
+    # verts[T] is the mixed-radix index of r + e_T for every subset-mask T
+    # (bit i of T is coordinate i), built by doubling so no 2^d x d table is
+    # materialized
+    verts = np.zeros(1, dtype=np.int64)
+    stride = ind.size
+    for m, x in zip(moduli, np.unravel_index(r, moduli)):
+        stride //= m
+        verts = np.concatenate([verts + int(x) * stride, verts + (int(x) + 1) % m * stride])
+    u_mask, k, steps = _cube_best(len(moduli), verts, ind[verts].astype(bool), cube_points)
+    u = int(verts[u_mask])
     return WitnessReport(
         vertex=u,
-        neighbors=tuple(nb for _, _, nb in steps),
+        neighbors=tuple(int(verts[nb_mask]) for _, _, nb_mask in steps),
         k=k,
         d=len(moduli),
         t=sum(1 for m in moduli if m == 2),
@@ -186,41 +193,6 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
         },
         checks={"adjacency": True, "distinct": True, "bound": True},
     )
-
-
-def _cube_vertex(
-    moduli: tuple[int, ...], ind: np.ndarray
-) -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
-    """The cube step of cube_witness for validated moduli and a flat int8
-    membership array.
-
-    Returns (r, cube_points, u, k, steps): the covering shift and its count,
-    the chosen member u of the cube copy at r with its k in-subset cube
-    neighbors, and one (i, sign, neighbor) step per such neighbor, in
-    direction order, where neighbor = u + sign * e_i.
-    """
-    r, cube_points = _cover_shift(moduli, ind)
-    verts = _cube_indices(moduli, np.unravel_index(r, moduli))
-    u_mask, k, steps = _cube_best(len(moduli), verts, ind[verts].astype(bool), cube_points)
-    return r, cube_points, int(verts[u_mask]), k, [
-        (i, sign, int(verts[nb_mask])) for i, sign, nb_mask in steps
-    ]
-
-
-def _cube_indices(moduli: tuple[int, ...], digits: Sequence[int]) -> np.ndarray:
-    """Mixed-radix index of r + e_T for every subset-mask T (bit i of the
-    mask is coordinate i), where r has the given digits; built by doubling so
-    no 2^d x d table is materialized."""
-    d = len(moduli)
-    pv = [1] * d
-    for i in range(d - 2, -1, -1):
-        pv[i] = pv[i + 1] * moduli[i + 1]
-    verts = np.zeros(1, dtype=np.int64)
-    for i in range(d):
-        zero_off = int(digits[i]) * pv[i]
-        one_off = (int(digits[i]) + 1) % moduli[i] * pv[i]
-        verts = np.concatenate([verts + zero_off, verts + one_off])
-    return verts
 
 
 def _cube_best(

@@ -1,6 +1,9 @@
 """Tests for group construction, validation, and generating sets."""
 
+import hashlib
+import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -646,3 +649,24 @@ def test_walk_tests_only_candidates_within_the_size_limit(monkeypatch, max_size,
     monkeypatch.setattr(FiniteGroup, "translations", counted_translations)
     found = sum(1 for _ in enumerate_symmetric_generating_sets(G, max_size=max_size))
     assert (calls["generates"], found, calls["translations"]) == (tested, sets, 1)
+
+
+def test_builtin_tables_are_pinned():
+    specs = [f"dihedral:{n}" for n in range(1, 13)]
+    specs += [f"{family}:{n}" for family in ("sym", "alt") for n in range(1, 6)] + ["q8"]
+    text = "\n".join(f"{spec} {json.dumps(make_group(spec).table.tolist())}" for spec in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4c8db8e047bb524ad115a33fc0a201da994e10ce10c4ded7c03d9ad86d61162c"
+    )
+
+
+@pytest.mark.parametrize("spec", ["q8", "z4x4"])
+def test_group_arrays_are_read_only_after_a_pickle_round_trip(spec):
+    G = make_group(spec)
+    for H in (G, pickle.loads(pickle.dumps(G))):
+        arrays = [H.inverses] + ([H._coords] if H.moduli else [H.table])
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 1
+        assert H.inverses.tolist() == G.inverses.tolist()
+        assert H.translations(range(H.order)).tolist() == G.translations(range(G.order)).tolist()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cayleydeg.errors import BudgetExceeded, InvariantBreach
-from cayleydeg.graphs import VertexSet, build_cayley, induced_max_degree
+from cayleydeg.graphs import Graph, VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import FiniteGroup, make_generating_set, make_group
 from cayleydeg.witness import (
     WitnessReport,
@@ -544,3 +544,21 @@ def test_abelian_witness_refuses_before_any_work():
     message = "^the generating set does not generate; fibers would be unequal$"
     with pytest.raises(ValueError, match=message):
         abelian_witness(H, T, range(4))
+
+
+def test_numpy_integer_members_match_their_list():
+    # a numpy integer member shifted as given overflows int64
+    members = np.array([70, 71, 72])
+    assert VertexSet.from_members(100, members) == VertexSet.from_members(100, [70, 71, 72])
+    X = Graph(100, [(70, 71), (71, 72)])
+    assert induced_max_degree(X, members) == induced_max_degree(X, [70, 71, 72]) == (2, 71)
+    assert VertexSet.from_members(8, np.array([1, 5])).members() == [1, 5]
+
+    G = make_group([100])
+    S = make_generating_set(G, [1, 99])
+    U = np.arange(51) + 40
+    assert abelian_witness(G, S, U) == abelian_witness(G, S, U.tolist())
+    # an array is a membership grid to the cube certificate, so its members
+    # come as a list of numpy integers
+    U = np.arange(3, 40, dtype=np.int32)
+    assert cube_witness([8, 8], list(U)) == cube_witness([8, 8], U.tolist())
