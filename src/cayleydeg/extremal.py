@@ -589,6 +589,11 @@ def scan(
     scan continues; an InvariantBreach propagates.
     Output is byte-identical for any jobs count.
     """
+    # a path that cannot be written fails here, before any instance is checked
+    if out_csv is not None:
+        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
+    if violations_dir is not None:
+        Path(violations_dir).mkdir(parents=True, exist_ok=True)
     rows = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
 
     buf = io.StringIO()
@@ -628,10 +633,8 @@ def scan(
     if out_csv is not None:
         Path(out_csv).write_text(csv_text)
     if violations_dir is not None:
-        vdir = Path(violations_dir)
-        vdir.mkdir(parents=True, exist_ok=True)
         for i, rec in enumerate(violations):
-            (vdir / f"violation_{i:04d}.json").write_text(
+            (Path(violations_dir) / f"violation_{i:04d}.json").write_text(
                 json.dumps(rec, separators=(",", ":")) + "\n"
             )
     summary = ScanSummary(

@@ -54,13 +54,14 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        mask = 0
+        # digit n - v is vertex v; one linear parse, not a mask copy per member
+        digits = bytearray(b"0") * (max(n, 0) + 1)
         for v in members:
-            v = operator.index(v)  # a numpy integer would overflow the shift
+            v = operator.index(v)  # refuses floats and bools, unwraps numpy ints
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            mask |= 1 << v
-        return cls(n, mask)
+            digits[n - v] = 49  # ord("1")
+        return cls(n, int(digits, 2))
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -102,6 +103,7 @@ def _bit_indices(mask: int) -> list[int]:
 
 
 def _as_vertex_set(n: int, U) -> VertexSet:
+    """The one reading of a subset: a VertexSet over n, or member indices."""
     if isinstance(U, VertexSet):
         if U.n != n:
             raise ValueError(f"vertex set is over {U.n} vertices, graph has {n}")
@@ -296,9 +298,7 @@ def counterexample_checks(inst: CounterexampleInstance) -> dict[str, bool]:
     left = inst.part_a.mask | inst.part_b.mask
     right = inst.part_c.mask | inst.part_d.mask
     regular = X.is_regular() and X.max_degree() == n + 1
-    bipartite = all(
-        (X.adj_masks[v] & left) == 0 for v in VertexSet(X.n, left).members()
-    ) and all((X.adj_masks[v] & right) == 0 for v in VertexSet(X.n, right).members())
+    bipartite = not any(X.adj_masks[v] & (left if left >> v & 1 else right) for v in range(X.n))
     size_ok = inst.subset.size == 2 * (n + 1) and inst.subset.size == left.bit_count() + 1
     deg, _ = induced_max_degree(X, inst.subset)
     induced_ok = deg == 1

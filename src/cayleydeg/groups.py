@@ -55,7 +55,8 @@ class FiniteGroup:
     Multiplication is exposed as left translations:
     translations(elems) has row i equal to L_s with s = elems[i], where
     L_s[g] = s*g, and inverses[a] is the inverse of a.  Every product in the
-    package reads these arrays.
+    package reads these arrays but witness._least_preimage_order, which sums
+    residues from _coords to list all cosets k*s + H at once, not k by k.
     """
 
     order: int

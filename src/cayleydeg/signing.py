@@ -354,6 +354,10 @@ def signing_search(
     """
     if X.n > SEARCH_SIZE_CAP:
         raise ValueError(f"graph has {X.n} vertices, search cap is {SEARCH_SIZE_CAP}")
+    if not exhaustive and budget < 1:
+        raise ValueError(f"evaluation budget must be at least 1, got {budget}")
+    if not exhaustive and restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     edges = X.edges()
     ne = len(edges)
     if ne == 0:

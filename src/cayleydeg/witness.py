@@ -67,17 +67,10 @@ __all__ = [
 DEFAULT_LIFT_CAP = 1 << 22
 
 
-def _membership_array(moduli: Sequence[int], U) -> np.ndarray:
-    """Normalize U (VertexSet, iterable, or boolean/int array) to an int8 grid."""
-    n = math.prod(moduli)
-    if isinstance(U, np.ndarray):
-        if U.size != n:
-            raise ValueError(f"membership array has {U.size} entries, expected {n}")
-        ind = (U.reshape(n) != 0).astype(np.int8)
-    else:
-        ind = np.zeros(n, dtype=np.int8)
-        ind[_as_vertex_set(n, U).members()] = 1
-    return ind
+def _membership_array(n: int, U) -> np.ndarray:
+    """The int8 indicator of U over 0..n-1, unpacked from its VertexSet mask."""
+    data = np.frombuffer(_as_vertex_set(n, U).mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little").view(np.int8)
 
 
 def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
@@ -89,7 +82,7 @@ def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
     at a time.
     """
     moduli = _check_moduli(moduli)
-    return _cover_counts(moduli, _membership_array(moduli, U))
+    return _cover_counts(moduli, _membership_array(math.prod(moduli), U))
 
 
 def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
@@ -109,7 +102,7 @@ def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
     sum_r |U_r n U| = 2^d |U| forces the maximum above the average.
     """
     moduli = _check_moduli(moduli)
-    return _cover_shift(moduli, _membership_array(moduli, U))
+    return _cover_shift(moduli, _membership_array(math.prod(moduli), U))
 
 
 def _cover_shift(moduli: tuple[int, ...], ind: np.ndarray) -> tuple[int, int]:
@@ -161,12 +154,13 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
 
     Picks the covering shift r, restricts U to the hypercube copy
     {r + sum_{i in T} e_i}, and brute-forces the member of maximum induced
-    degree there (ties to the smallest group index).  The more-than-half
-    occupancy of the cube guarantees k^2 >= d; violating that is treated as
-    an internal invariant breach.
+    degree there (ties to the smallest group index).  U is a VertexSet or an
+    iterable of mixed-radix member indices, never a 0/1 grid.  The
+    more-than-half occupancy of the cube guarantees k^2 >= d; violating that
+    is treated as an internal invariant breach.
     """
     moduli = _check_moduli(moduli)
-    ind = _membership_array(moduli, U)
+    ind = _membership_array(math.prod(moduli), U)
     r, cube_points = _cover_shift(moduli, ind)
     # verts[T] is the mixed-radix index of r + e_T for every subset-mask T
     # (bit i of T is coordinate i), built by doubling so no 2^d x d table is
@@ -358,22 +352,21 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
         raise BudgetExceeded(
             f"witness cube has 2^{S.d} = {1 << S.d} corners, above the cap {DEFAULT_LIFT_CAP}"
         )
-    U = _as_vertex_set(G.order, U)
-    if 2 * U.size <= G.order:
+    u_ind = _membership_array(G.order, U)
+    size = int(np.count_nonzero(u_ind))
+    if 2 * size <= G.order:
         raise ValueError(
-            f"subset has {U.size} of {G.order} vertices; a strict majority is required"
+            f"subset has {size} of {G.order} vertices; a strict majority is required"
         )
     m, d = _check_lift(G, S)
     images = S.images()
     rows = G.translations(images)
     listed, radices = _least_preimage_order(G, images, m)
 
-    u_ind = np.zeros(G.order, dtype=np.int8)
-    u_ind[U.members()] = 1
     counts = u_ind.astype(np.int64)
     for row in rows:
         counts += counts[row]
-    if int(counts.sum()) != (1 << d) * U.size:
+    if int(counts.sum()) != (1 << d) * size:
         raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
     p = int(np.argmax(counts[listed]))  # the first maximum has the least preimage
     cube_points = int(counts[listed[p]])
@@ -397,18 +390,17 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     h = sum((x + (u_mask >> j & 1)) % m * m ** (d - 1 - j) for j, x in enumerate(digits))
     u = int(corners[u_mask])
 
-    signs = []
-    neighbors = []
+    signs, neighbors = [], []
     for i, _, nb_mask in steps:
         # corners[nb_mask] is u - s_i whenever u + s_i is not in U
         plus = int(rows[i, u])
-        sign, v = (1, plus) if plus in U else (-1, int(corners[nb_mask]))
+        sign, v = (1, plus) if u_ind[plus] else (-1, int(corners[nb_mask]))
         signs.append((i, sign))
         neighbors.append(v)
 
     checks = {}
     checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
-    in_u = u in U and all(v in U for v in neighbors)
+    in_u = all(u_ind[v] for v in (u, *neighbors))
     # the Cayley neighbors of u are s*u = u*s for s in S
     adjacency = set(neighbors) <= set(G.translations([u])[0, S.sorted_elements()].tolist())
     checks["adjacency"] = bool(adjacency and in_u)
@@ -455,8 +447,7 @@ def _suite_worker(item: tuple[int, int]) -> str:
     elems = set()
     for i in range(k):
         g = G.encode([1 if j == i else 0 for j in range(k)])
-        elems.add(g)
-        elems.add(inverses[g])
+        elems |= {g, inverses[g]}
     # extras keep m^d under the size target: each unit adds at most one image
     room = min(2, d_max - k)
     n_extra = rng.randint(0, room) if room > 0 else 0
@@ -464,8 +455,7 @@ def _suite_worker(item: tuple[int, int]) -> str:
         pool = [g for g in range(1, G.order) if g not in elems]
         rng.shuffle(pool)
         for g in pool[:n_extra]:
-            elems.add(g)
-            elems.add(inverses[g])
+            elems |= {g, inverses[g]}
 
     S = make_generating_set(G, sorted(elems))
     U = sorted(rng.sample(range(G.order), G.order // 2 + 1))

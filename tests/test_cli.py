@@ -149,6 +149,28 @@ def test_scan_abelian_range(tmp_path):
     assert len(rows) > 5
 
 
+def test_scan_out_creates_its_directory(tmp_path, capsys):
+    assert main(["scan", "--abelian-orders", "4..4"]) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "missing" / "dir" / "scan.csv"
+    assert main(["scan", "--abelian-orders", "4..4", "--out", str(out)]) == 0
+    assert out.read_text() == want
+
+
+def test_scan_output_under_a_file_fails_before_any_instance(tmp_path, monkeypatch, capsys):
+    import cayleydeg.extremal as extremal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was checked before the output path")
+
+    monkeypatch.setattr(extremal, "verify_conjecture", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for flag, path in [("--out", blocker / "scan.csv"), ("--violations-dir", blocker / "v")]:
+        assert main(["scan", "--abelian-orders", "4..4", flag, str(path)]) == 2, flag
+        assert capsys.readouterr().err.startswith("error:"), flag
+
+
 def test_scan_without_targets_errors(capsys):
     assert main(["scan"]) == 2
     assert "nothing to scan" in capsys.readouterr().err
@@ -201,6 +223,20 @@ def test_signing_huang_verify_at_the_dimension_cap(capsys):
 def test_signing_search_exhaustive(capsys):
     rc = main(["signing", "search", "--graph", "q2", "--exhaustive"])
     assert rc == 0
+    assert "1.41421356237" in capsys.readouterr().out
+
+
+def test_signing_search_refuses_a_climb_with_no_work(capsys):
+    for flag, message in [
+        ("--restarts", "error: restarts must be at least 1, got 0"),
+        ("--budget", "error: evaluation budget must be at least 1, got 0"),
+    ]:
+        assert main(["signing", "search", "--graph", "q3", flag, "0"]) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message and captured.out == "", flag
+    # exhaustive mode reads neither value
+    argv = ["signing", "search", "--graph", "q2", "--exhaustive", "--restarts", "0", "--budget", "0"]
+    assert main(argv) == 0
     assert "1.41421356237" in capsys.readouterr().out
 
 

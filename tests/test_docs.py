@@ -35,6 +35,13 @@ def test_every_exported_name_resolves():
         assert exported.get(name) is getattr(cayleydeg, name), name
 
 
+def test_the_suite_imports_this_checkouts_sources():
+    # pyproject.toml puts src/ first on the path, so plain pytest needs no
+    # PYTHONPATH and never tests an installed copy
+    src = README.parent / "src"
+    assert src in Path(cayleydeg.__file__).resolve().parents
+
+
 def test_readme_quick_start_runs():
     text = README.read_text()
     section = text.split("## Quick start", 1)[1]

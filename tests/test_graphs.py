@@ -4,6 +4,7 @@ import pickle
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from cayleydeg.extremal import verify_conjecture
@@ -31,6 +32,18 @@ def test_vertex_set_basics():
     assert VertexSet.full(4).members() == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         VertexSet.from_members(4, [4])
+
+
+def test_from_members_keeps_its_errors():
+    for bad in (np.True_, 1.0):
+        with pytest.raises(TypeError):
+            VertexSet.from_members(4, [1, bad])
+    for bad in (-1, 2**70):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.3$"):
+            VertexSet.from_members(4, [1, bad])
+    assert VertexSet.from_members(0, []) == VertexSet(0, 0)
+    # members past the first byte, repeated, and in any order
+    assert VertexSet.from_members(20, [19, 8, 0, 8, 7]).mask == 1 << 19 | 1 << 8 | 1 << 7 | 1
 
 
 def test_graph_rejects_loops_and_duplicates():

@@ -37,6 +37,8 @@ CASES = [
     ),
     (lambda: spectrum(np.zeros((2049, 2049))), "matrix size 2049 exceeds the spectrum cap 2048"),
     (lambda: signing_search(Graph(513, [])), "graph has 513 vertices, search cap is 512"),
+    (lambda: signing_search(C5, restarts=0), "restarts must be at least 1, got 0"),
+    (lambda: signing_search(C5, budget=0), "evaluation budget must be at least 1, got 0"),
 ]
 
 
@@ -51,3 +53,9 @@ def test_empty_spectrum_and_a_group_passed_as_its_own_spec():
     empty = spectrum(np.zeros((0, 0)))
     assert empty.size == 0 and empty.min_modulus == 0.0
     assert make_group(Z4X2) is Z4X2
+
+
+def test_exhaustive_signing_search_reads_no_climb_settings():
+    want = signing_search(C5, exhaustive=True)
+    got = signing_search(C5, exhaustive=True, budget=0, restarts=0)
+    assert got.min_modulus == want.min_modulus > 0 and got.evaluations == 1 << 5

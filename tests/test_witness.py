@@ -293,9 +293,9 @@ def test_certificate_validates_and_converts_its_input_once(monkeypatch):
         calls["moduli"] += 1
         return check(moduli)
 
-    def counted_convert(moduli, U):
+    def counted_convert(n, U):
         calls["membership"] += 1
-        return convert(moduli, U)
+        return convert(n, U)
 
     monkeypatch.setattr(witness, "_check_moduli", counted_check)
     monkeypatch.setattr(witness, "_membership_array", counted_convert)
@@ -304,8 +304,8 @@ def test_certificate_validates_and_converts_its_input_once(monkeypatch):
         fn([3, 3], [0, 1, 3, 4, 8])
         assert calls == {"moduli": 1, "membership": 1}, fn.__name__
 
-    # the abelian certificate works on G and runs the shared cube step on
-    # its own corner arrays
+    # the abelian certificate works on G, reads U through the shared
+    # helper, and runs the shared cube step on its own corner arrays
     def refuse(*args, **kwargs):
         raise AssertionError("abelian_witness called the public cube_witness")
 
@@ -314,7 +314,7 @@ def test_certificate_validates_and_converts_its_input_once(monkeypatch):
     S = make_generating_set(G, [2, 10, 1, 6])
     calls.update(moduli=0, membership=0)
     rep = abelian_witness(G, S, range(7))
-    assert calls == {"moduli": 0, "membership": 0}
+    assert calls == {"moduli": 0, "membership": 1}
     assert rep.k * rep.k >= rep.d and all(rep.checks.values())
 
 
@@ -326,8 +326,6 @@ def test_certificate_input_errors_are_unchanged():
             fn([], [0])
         with pytest.raises(ValueError, match=r"vertex 9 out of range 0\.\.8"):
             fn([3, 3], [0, 9])
-        with pytest.raises(ValueError, match="membership array has 4 entries"):
-            fn([3, 3], np.ones(4, dtype=np.int8))
     for fn in (cover_shift, cube_witness):
         with pytest.raises(ValueError, match="strict majority"):
             fn([3, 3], [0, 1, 3, 4])
@@ -397,7 +395,8 @@ def _lifted_witness(G, S, U, cap):
     u_ind = np.zeros(G.order, dtype=np.int8)
     u_ind[list(U)] = 1
     pre = u_ind[lift.values]
-    cube = cube_witness((m,) * d, pre)
+    bits = np.packbits(pre, bitorder="little").tobytes()
+    cube = cube_witness((m,) * d, VertexSet(pre.size, int.from_bytes(bits, "little")))
     h = cube.vertex
     signs, neighbors = [], []
     for i, _ in cube.trace["signs"]:
@@ -558,7 +557,36 @@ def test_numpy_integer_members_match_their_list():
     S = make_generating_set(G, [1, 99])
     U = np.arange(51) + 40
     assert abelian_witness(G, S, U) == abelian_witness(G, S, U.tolist())
-    # an array is a membership grid to the cube certificate, so its members
-    # come as a list of numpy integers
     U = np.arange(3, 40, dtype=np.int32)
-    assert cube_witness([8, 8], list(U)) == cube_witness([8, 8], U.tolist())
+    want = cube_witness([8, 8], U.tolist())
+    assert cube_witness([8, 8], list(U)) == cube_witness([8, 8], U) == want
+
+
+def test_a_subset_has_one_reading_everywhere():
+    # a list, a numpy int array, a range and a VertexSet of the same members
+    # give equal results; an array of length n lists members too, it is not
+    # a 0/1 grid, so z3's [0, 1, 1] is the subset {0, 1}
+    for moduli, array, members in [
+        ([3], np.array([0, 1, 1]), range(2)),
+        ([4, 4], np.array([*range(9), *[8] * 7]), range(9)),
+        ([5, 3], np.arange(0, 15, 2), range(0, 15, 2)),
+    ]:
+        G = make_group(moduli)
+        k = len(moduli)
+        gens = [G.encode([int(i == j) for j in range(k)]) for i in range(k)]
+        S = make_generating_set(G, {x for g in gens for x in (g, G.inv(g))})
+        X = build_cayley(G, S).graph
+        forms = [array.tolist(), array, members, VertexSet.from_members(G.order, members)]
+        for name, fn in [
+            ("induced_max_degree", lambda U: induced_max_degree(X, U)),
+            ("cover_counts", lambda U: cover_counts(moduli, U).tolist()),
+            ("cover_shift", lambda U: cover_shift(moduli, U)),
+            ("cube_witness", lambda U: cube_witness(moduli, U)),
+            ("abelian_witness", lambda U: abelian_witness(G, S, U)),
+        ]:
+            results = [fn(U) for U in forms]
+            assert all(r == results[0] for r in results), (moduli, name)
+    G = make_group([3])
+    S = make_generating_set(G, [1, 2])
+    U = np.array([0, 1, 1])
+    assert cube_witness([3], U).vertex == abelian_witness(G, S, U).vertex == 0
