@@ -81,13 +81,13 @@ _INT64_MAX = (1 << 63) - 1
 # (vertex, subset) of a chunk.  A cached chunk of m subsets keeps
 # m * (8 * words + n) bytes, at most _CHUNK_BYTES / 4 for n >= 8 (smaller n
 # have at most 35 subsets), so the _CACHED_CHUNKS cached chunks stay under
-# 16 MiB.  Only runs of at most _CACHED_CHUNKS chunks go through the cache: a
+# 32 MiB.  Only runs of at most _CACHED_CHUNKS chunks go through the cache: a
 # longer run would evict every chunk, its own included, before reusing any.
 _CHUNK_BYTES = 1 << 20
-_CACHED_CHUNKS = 64
+_CACHED_CHUNKS = 128
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHED_CHUNKS)
 def _rank_table(pool: int, k: int) -> np.ndarray:
     """table[p, j] = C(pool-1-p, k-1-j): the ranks of k-subsets of 0..pool-1
     that take p as member j+1 once their first j members lie below p.

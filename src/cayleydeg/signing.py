@@ -16,29 +16,47 @@ them against an independent cyclic Jacobi solver kept in the test suite.
 
 The hill climb of signing_search keeps a single-edge flip M' only if its
 smallest eigenvalue modulus beats the sweep's best so far, best_val, and
-most flips cannot.  min |lambda(M')| > t exactly when M'^2 - t^2 I, whose
-eigenvalues are lambda^2 - t^2, is positive definite: a question of inertia
-that one Cholesky factorization answers at a fraction of an eigensolve.
-While best_val > _FILTER_FLOOR = eps, a flip whose factorization at
-t = best_val - delta (delta = _FILTER_MARGIN) breaks down is skipped; every
-other flip is scored by eigvalsh exactly as without the filter, so the
-search returns the same bits.  The skip is safe under these bounds, with
+most flips cannot.  Flipping edge (u, v) of the sweep's M is the rank-2
+update M' = M + B C B^T with B = [e_u e_v], C = d [[0,1],[1,0]] and
+d = -2 M_uv.  Haynsworth's inertia additivity (Linear Algebra Appl. 1,
+1968), applied to the block matrix
+[[M - xI, B], [B^T, -C^-1]] (whose corner -C^-1 has one negative
+eigenvalue), counts the eigenvalues of M' below x:
+
+    N(M', x) = N(M, x) + neg(S(x)) - 1,  S(x) = -C^-1 - B^T (M - xI)^-1 B,
+
+with S(x) 2 x 2.  If M = Q Lambda Q^T, entry (a, b) of (M - xI)^-1 is
+sum_i Q_ai Q_bi / (lambda_i - x).  So M' has an eigenvalue in [-t, t)
+exactly when #{|lambda_i| < t} + neg(S(t)) - neg(S(-t)) >= 1: one eigh per
+sweep and one resolvent per value of t give the count for every edge.
+While best_val > _FILTER_FLOOR = eps, a flip whose count at
+t = best_val - delta (delta = _FILTER_MARGIN) is at least 1 is skipped;
+every other flip is scored by eigvalsh exactly as without the screen, so
+the search returns the same bits.  The skip is safe under these bounds, with
 unit roundoff u = 2^-53, n vertices and maximum degree D:
 
-- M'^2 has integer entries of size at most n, exact in float64; subtracting
-  t^2 rounds only the diagonal, by at most 2 u D.
-- eigvalsh is backward stable: each computed eigenvalue is within
-  p(n) u ||M'|| <= p(n) u D of the exact one (LAPACK Users' Guide, 4.7),
+- eigh and eigvalsh are backward stable (LAPACK Users' Guide, 4.7):
+  eigh's Lambda and Q satisfy Q~ Lambda Q~^T = M + E for an orthogonal Q~
+  with ||Q - Q~|| <= p(n) u and ||E|| <= p(n) u ||M|| <= p(n) u D, and each
+  eigenvalue that eigvalsh computes is within p(n) u D of the exact one,
   with p(n) a modest function of n, here taken as at most n^2.
-- Cholesky runs to completion on any symmetric A with lambda_min(A) >
-  n g/(1 - n g) max_i a_ii, g = (n+1) u/(1 - (n+1) u) (Demmel; Higham,
-  Accuracy and Stability of Numerical Algorithms, Thm 10.7), and a_ii <= D.
+- So the count is exact for M + E when S is formed from Q~ in exact
+  arithmetic.  With gap = min_i |lambda_i - x| (at most 2n), each computed
+  entry of S is within beta = 8 n^2 u / gap of that: 2 p(n) u / gap from
+  Q - Q~, (n + 4) u / gap from rounding the quotients and the sum, and u / 2
+  from adding -1/d, with room to spare for rounding the bands below.
+- neg(S) is 1 if det S < 0, and otherwise 0 or 2 by the sign of the trace.
+  Entries within beta move det = ac - b^2 of S = [[a, b], [b, c]] by at
+  most beta (|a| + |c| + 2|b| + 2 beta) and the trace a + c by 2 beta; their
+  evaluation errs by at most 3 u (|ac| + b^2) and u |a + c|.  A count whose
+  determinant or trace lies inside these bands is not a skip: that flip is
+  solved.  A gap of 0 puts every decision inside the band.
 
-If eigvalsh would score M' above best_val, the exact modulus exceeds
-best_val - e with e = n^2 u D, so lambda_min(M'^2 - t^2 I) > (delta - e)
-(2 eps - delta - e).  At the search cap (n = 512, D = 511) that is above
-9.8e-8, while the breakdown threshold plus the rounding is below 1.5e-8: a
-flip that LAPACK would keep is never skipped.
+A skip thus shows that M + E + (M' - M) has an eigenvalue of modulus at
+most t, so M' has one of modulus at most t + n^2 u D (Weyl), and eigvalsh
+scores M' at most t + 2 n^2 u D.  At the search cap (n = 512, D = 511),
+2 n^2 u D is below 3e-8, far below delta: a flip that LAPACK would score
+above best_val is never skipped.
 
 Signing JSON is read by the record reader of graph JSON (cayleydeg.graphs).
 """
@@ -81,10 +99,9 @@ SEARCH_SIZE_CAP = 512
 EXHAUSTIVE_EDGE_CAP = 20
 _SIGNING_FILE_CAP = 1 << HUANG_DIMENSION_CAP
 _WALK_BLOCK = 1 << 20
-# delta and eps of the inertia filter (module docstring): delta is far above
-# eigvalsh's error (at most 1.5e-8 at the search cap), and together with
-# eps it keeps lambda_min(M'^2 - t^2 I) of a flip that could win above 9.8e-8,
-# six times Cholesky's breakdown threshold.  Below eps (a graph whose
+# delta and eps of the inertia screen (module docstring): delta is far above
+# the 3e-8 that eigh's and eigvalsh's errors add up to at the search cap, and
+# eps keeps t = best_val - delta well above 0.  Below eps (a graph whose
 # signings are all singular, such as a star) every flip is solved.
 _FILTER_MARGIN = 1e-6
 _FILTER_FLOOR = 0.05
@@ -219,13 +236,16 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
     returns them in ascending order).
 
     Sizes up to SPECTRUM_SIZE_CAP are supported.  Input that is not a square
-    2-D array raises ValueError, as in verify_signing; RuntimeError means the
-    eigensolver failed to converge.
+    2-D array raises ValueError, as in verify_signing, and so does an array
+    that is not symmetric, since eigvalsh reads one triangle only;
+    RuntimeError means the eigensolver failed to converge.
     """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     n = _square_size(mat, "spectrum")
     if n > SPECTRUM_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
+    if not isinstance(M, SignedAdjacency) and not np.array_equal(mat, mat.T, equal_nan=True):
+        raise ValueError("spectrum requires a symmetric matrix")
     if n == 0:
         return Spectrum(np.zeros(0), 0.0)
     try:
@@ -271,40 +291,49 @@ def _min_modulus(m: np.ndarray) -> float:
     return float(np.abs(vals).min())
 
 
-def _modulus_exceeds(m: np.ndarray, square: np.ndarray, edge: tuple[int, int], t: float) -> bool:
-    """Whether Cholesky factors m m - t^2 I, that is whether min |lambda(m)| > t.
-
-    `square` is the square of m with the sign of `edge` flipped back, so only
-    rows and columns u and v of m m differ from it: two vector-matrix
-    products patch them in.  Every entry of m m is an integer, exact in
-    float64.
-    """
-    u, v = edge
-    a = square.copy()
-    a[u] = a[:, u] = m[u] @ m
-    a[v] = a[:, v] = m[v] @ m
-    a.flat[:: a.shape[0] + 1] -= t * t
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _flips_that_cannot_win(
+    m: np.ndarray, lam: np.ndarray, q: np.ndarray, us: np.ndarray, vs: np.ndarray, t: float
+) -> np.ndarray:
+    """For each edge (us[k], vs[k]), whether flipping it in m surely leaves
+    an eigenvalue of modulus at most t: the inertia count of the module
+    docstring, from eigh's decomposition lam, q of m.  A count whose 2 x 2
+    determinant or trace is inside its rounding band is not sure."""
+    u = np.finfo(np.float64).eps / 2
+    half = m[us, vs] / 2  # -1/d
+    count = np.count_nonzero(np.abs(lam) < t)  # + neg(S(t)) - neg(S(-t))
+    sure = True
+    # a zero gap gives an infinite band or nan entries, which compare False
+    with np.errstate(all="ignore"):
+        for x, sign in ((t, 1), (-t, -1)):
+            shift = lam - x
+            band = 8 * lam.size**2 * u / np.abs(shift).min()
+            r = (q / shift) @ q.T  # the resolvent (M - xI)^-1, n x n
+            # S(x) = [[a, b], [b, c]]
+            a, c, b = -np.diagonal(r)[us], -np.diagonal(r)[vs], half - r[us, vs]
+            ac, bb = a * c, b * b
+            det, tr = ac - bb, a + c
+            det_band = band * (abs(a) + abs(c) + 2 * abs(b) + 2 * band) + 3 * u * (abs(ac) + bb)
+            sure &= (abs(det) > det_band) & ((det < 0) | (abs(tr) > 2 * band + u * abs(tr)))
+            count = count + sign * np.where(det < 0, 1, np.where(tr < 0, 2, 0))
+    return sure & (count >= 1)
 
 
 def _climb_worker(args: tuple) -> tuple[float, int, int, int]:
     """One hill-climb restart; returns (min_modulus, bits, evaluations,
     eigensolves).
 
-    Each candidate flips one edge of a single float64 matrix in place and
-    flips it back after its evaluation.  A candidate is kept only if its
-    modulus beats the sweep's best so far, best_val; while best_val >
-    _FILTER_FLOOR, a candidate whose inertia test with t = best_val -
-    _FILTER_MARGIN fails cannot beat it and skips its eigensolve.
+    A candidate flips one edge of the sweep's float64 matrix M.  It is kept
+    only if its modulus beats the sweep's best so far, best_val; while
+    best_val > _FILTER_FLOOR, the candidates that the inertia count at
+    t = best_val - _FILTER_MARGIN shows cannot beat it skip their eigensolve.
+    M is decomposed once per sweep, and the count is redone only when
+    best_val improves.  A solved candidate flips M in place and back.
     """
     edges, n, seed, restart, budget = args
     rng = random.Random(f"{seed}:{restart}")
     bits = rng.getrandbits(len(edges))
     m = _signing_from_bits(n, edges, bits).astype(np.float64)
+    us, vs = np.array(edges, dtype=np.intp).T
     cur = _min_modulus(m)
     evals = solves = 1
     improved = True
@@ -312,21 +341,30 @@ def _climb_worker(args: tuple) -> tuple[float, int, int, int]:
         improved = False
         best_flip = -1
         best_val = cur
-        square = m @ m
-        for i, edge in enumerate(edges):
-            _flip(m, edge)
-            if best_val <= _FILTER_FLOOR or _modulus_exceeds(
-                m, square, edge, best_val - _FILTER_MARGIN
-            ):
+        stop = min(len(edges), budget - evals)
+        evals += stop
+        eig = None
+        i = 0
+        while i < stop:
+            todo = range(i, stop)
+            if best_val > _FILTER_FLOOR:
+                if eig is None:
+                    eig = np.linalg.eigh(m)
+                skip = _flips_that_cannot_win(
+                    m, *eig, us[i:stop], vs[i:stop], best_val - _FILTER_MARGIN
+                )
+                todo = (np.flatnonzero(~skip) + i).tolist()
+            i = stop
+            for j in todo:
+                _flip(m, edges[j])
                 cand = _min_modulus(m)
+                _flip(m, edges[j])
                 solves += 1
                 if cand > best_val:
                     best_val = cand
-                    best_flip = i
-            _flip(m, edge)
-            evals += 1
-            if evals >= budget:
-                break
+                    best_flip = j
+                    i = j + 1
+                    break
         if best_flip >= 0:
             bits ^= 1 << best_flip
             _flip(m, edges[best_flip])

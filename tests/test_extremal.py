@@ -720,6 +720,19 @@ def test_runs_longer_than_the_chunk_cache_bypass_it():
     assert peak < 4 << 20, peak
 
 
+def test_the_oracle_suite_fits_the_chunk_caches():
+    # 72 single-chunk (n, s) keys: each is built once and then only reused
+    extremal._subset_chunk.cache_clear()
+    extremal._rank_table.cache_clear()
+    try:
+        oracle_agreement_suite(100, seed=0)
+        chunks, tables = extremal._subset_chunk.cache_info(), extremal._rank_table.cache_info()
+    finally:
+        extremal._subset_chunk.cache_clear()
+        extremal._rank_table.cache_clear()
+    assert chunks.misses == tables.misses == 72
+
+
 def test_exhaustive_refuses_totals_past_int64(monkeypatch):
     def no_work(*args):
         raise AssertionError("subsets were enumerated")

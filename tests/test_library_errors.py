@@ -39,6 +39,7 @@ CASES = [
     (lambda: signing_search(Graph(513, [])), "graph has 513 vertices, search cap is 512"),
     (lambda: signing_search(C5, restarts=0), "restarts must be at least 1, got 0"),
     (lambda: signing_search(C5, budget=0), "evaluation budget must be at least 1, got 0"),
+    (lambda: spectrum(np.array([[0, 2], [1, 0]])), "spectrum requires a symmetric matrix"),
 ]
 
 

@@ -20,7 +20,7 @@ from cayleydeg.signing import (
     SignedAdjacency,
     _climb_worker,
     _flip,
-    _modulus_exceeds,
+    _flips_that_cannot_win,
     huang_signing,
     signing_from_json,
     signing_search,
@@ -566,49 +566,117 @@ def test_climb_matches_the_unfiltered_reference():
 
 
 def test_inertia_filter_never_rejects_a_flip_that_could_win():
-    # rejecting at t means eigvalsh's modulus is below t + margin / 2, so a
+    # skipping at t means eigvalsh's modulus is below t + margin / 2, so a
     # flip whose modulus would beat best_val = t + margin is never skipped;
-    # thresholds cluster around the computed modulus, where it matters
+    # thresholds cluster around the computed modulus, where it matters, and
+    # around the eigenvalue moduli of the unflipped M, where the gap is small
     rng = random.Random(12)
     margin, floor = signing._FILTER_MARGIN, signing._FILTER_FLOOR
     graphs = [_hypercube(5)] + [_random_graph(rng, rng.randint(8, 40), rng.uniform(0.15, 0.5))
                                 for _ in range(6)]
-    rejected = accepted = 0
+    skipped = solved = 0
     for X in graphs:
         edges = X.edges()
         for _ in range(8):
             m = _rebuilt_signing(X.n, edges, rng.getrandbits(len(edges))).astype(np.float64)
-            square = m @ m
+            lam, q = np.linalg.eigh(m)
             edge = rng.choice(edges)
             _flip(m, edge)
             modulus = float(np.abs(np.linalg.eigvalsh(m)).min())
+            _flip(m, edge)
+            us, vs = np.array([edge[0]]), np.array([edge[1]])
             for _ in range(12):
+                near_eigenvalue = float(rng.choice(np.abs(lam))) + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -6)
                 t = rng.choice((modulus + rng.uniform(-margin, margin),
-                                modulus * rng.uniform(0.5, 1.5), rng.uniform(0, 3)))
+                                modulus * rng.uniform(0.5, 1.5), rng.uniform(0, 3), near_eigenvalue))
                 if t <= floor:
                     continue
-                if _modulus_exceeds(m, square, edge, t):
-                    accepted += 1
-                    assert modulus > t - margin / 2, (modulus, t)
-                else:
-                    rejected += 1
+                if _flips_that_cannot_win(m, lam, q, us, vs, t)[0]:
+                    skipped += 1
                     assert modulus < t + margin / 2, (modulus, t)
-    assert rejected > 100 and accepted > 100
+                else:
+                    solved += 1
+    assert skipped > 100 and solved > 100
+
+
+def test_a_threshold_at_an_eigenvalue_skips_nothing():
+    # a zero gap puts every decision inside the rounding band, silently
+    rng = random.Random(8)
+    X = _random_graph(rng, 30, 0.3)
+    edges = X.edges()
+    us, vs = np.array(edges).T
+    signings = [huang_signing(4).matrix,
+                _rebuilt_signing(X.n, edges, rng.getrandbits(len(edges)))]
+    for mat in signings:
+        m = mat.astype(np.float64)
+        edge_us, edge_vs = np.nonzero(np.triu(m))
+        lam, q = np.linalg.eigh(m)
+        for t in np.abs(lam)[np.abs(lam) > signing._FILTER_FLOOR][:6]:
+            with np.errstate(all="raise"):
+                assert not _flips_that_cannot_win(m, lam, q, edge_us, edge_vs, float(t)).any()
+                assert _flips_that_cannot_win(m, lam, q, edge_us, edge_vs, float(t) + 1e-3).any()
 
 
 def test_filter_constants_meet_the_error_bound():
-    # the bound of the module docstring at the search cap: a flip that
-    # eigvalsh scores above best_val keeps lambda_min(M'^2 - t^2 I) above
-    # what Cholesky needs to run to completion, plus the diagonal rounding
+    # the bound of the module docstring at the search cap: a skipped flip is
+    # scored by eigvalsh at most t + 2 n^2 u D, far below best_val = t + delta
     u = np.finfo(np.float64).eps / 2
     n = SEARCH_SIZE_CAP
     degree = n - 1
-    eig_error = n * n * u * degree
     delta, eps = signing._FILTER_MARGIN, signing._FILTER_FLOOR
-    smallest = (delta - eig_error) * (2 * eps - delta - eig_error)
-    g = (n + 1) * u / (1 - (n + 1) * u)
-    needed = n * g / (1 - n * g) * degree + 2 * u * degree
-    assert smallest > 6 * needed
+    assert 2 * n * n * u * degree < 3e-8 < delta / 30
+    assert eps > 2 * delta  # t = best_val - delta stays well above 0
+    # beta = 8 n^2 u / gap covers its parts with a factor 2 to spare:
+    # 2 p(n) u / gap from Q - Q~, (n + 4) u / gap from the resolvent, and
+    # u / 2 <= n u / gap (gap <= 2n)
+    for size in range(2, n + 1):
+        assert 2 * size * size + (size + 4) + size <= 4 * size * size
+
+
+def test_q6_bench_search_is_pinned(monkeypatch):
+    # the engines benchmark's search, at two seeds
+    q6 = builtin_graph("q6")
+    pins = {
+        0: (0.42958183395039407, 14227, 253,
+            "d02a78d2912714935d0ae417acd9c433f29aa37d3a927c3415422d1ecc11bbe5"),
+        1: (0.562423446888095, 15921, 472,
+            "59bfd43a1e1bda0cb7832d56600e4a163a0c50083c767d96fd223428397c1d96"),
+    }
+    for seed, (modulus, evals, solves, digest) in pins.items():
+        calls = {"cholesky": 0, "eigvalsh": 0, "eigh": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                patch.setattr(np.linalg, name, counted)
+            res = signing_search(q6, seed=seed, budget=2000, restarts=8)
+        assert res.min_modulus == modulus
+        assert (res.evaluations, res.eigensolves) == (evals, solves)
+        assert hashlib.sha256(signing_to_json(res.signing).encode()).hexdigest() == digest
+        if seed == 0:
+            # at most one eigh per sweep: a restart of e evaluations sweeps
+            # ceil((e - 1) / |E|) times
+            edges = tuple(q6.edges())
+            sweeps = sum(math.ceil((_climb_worker((edges, q6.n, 0, r, 2000))[2] - 1) / len(edges))
+                         for r in range(8))
+            assert calls["cholesky"] == 0 and calls["eigvalsh"] == 253
+            assert 0 < calls["eigh"] <= sweeps
+
+
+def test_dense_search_memory_stays_quadratic():
+    # one n x n resolvent at a time and O(|E|) per-edge arrays: no |E| x n
+    # product, on a 256-vertex graph with 16,357 edges
+    X = _random_graph(random.Random(3), 256, 0.5)
+    assert len(X.edges()) == 16357
+    tracemalloc.start()
+    try:
+        res = signing_search(X, seed=0, budget=2000, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations == 2000
+    assert peak < 8_000_000, peak
 
 
 def test_search_counts_its_eigensolves():
