@@ -4,15 +4,24 @@ A signing of a graph X assigns +1 or -1 to each edge; the signed adjacency
 matrix M is symmetric with zero diagonal and |M| equal to the adjacency
 indicator of X.  The property of interest is M M = c I, checked in exact
 integer arithmetic, which forces every eigenvalue to have modulus sqrt(c).
-For the n-dimensional hypercube such a signing exists and is built by the
-block recursion B_1 = [[0,1],[1,0]], B_k = [[B_{k-1}, I], [I, -B_{k-1}]].
+For the n-dimensional hypercube such a signing exists: the block recursion
+B_1 = [[0,1],[1,0]], B_k = [[B_{k-1}, I], [I, -B_{k-1}]] gives
+M[u, u ^ 2^i] = (-1)^popcount(u >> (i + 1)), which huang_signing fills in.
 
 verify_signing walks adjacency lists: each length-2 walk u-v-w adds
 M[u,v] M[v,w] to entry (u, w) of M M, so the check costs O(n deg^2) integer
-operations after one scan for the nonzeros.
+operations after one scan for the nonzeros.  It works in int64 and refuses
+a matrix whose row nonzero count times largest squared entry exceeds
+2^63 - 1, since that bounds every entry of M M and every partial sum.
 
-Eigenvalues come from LAPACK through numpy (eigvalsh).  The tests compare
-them against an independent cyclic Jacobi solver kept in the test suite.
+spectrum reads the eigenvalues off that identity when it holds.  For an
+integer symmetric M whose length-2 walks number at most n^2 (so the check
+costs no more than the float copy LAPACK would need), let c be the squared
+norm of row 0; if the walk check proves M M = c I, every eigenvalue is
++-sqrt(c) (0 if c = 0), and their counts k+ + k- = n and
+(k+ - k-) sqrt(c) = tr M are solved in integers.  Every other input goes to
+LAPACK through numpy (eigvalsh).  The tests compare both paths against an
+independent cyclic Jacobi solver kept in the test suite.
 
 The hill climb of signing_search keeps a single-edge flip M' only if its
 smallest eigenvalue modulus beats the sweep's best so far, best_val, and
@@ -66,6 +75,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -98,7 +108,8 @@ SPECTRUM_SIZE_CAP = 2048
 SEARCH_SIZE_CAP = 512
 EXHAUSTIVE_EDGE_CAP = 20
 _SIGNING_FILE_CAP = 1 << HUANG_DIMENSION_CAP
-_WALK_BLOCK = 1 << 20
+_WALK_BLOCK = 1 << 16
+_INT64_MAX = (1 << 63) - 1
 # delta and eps of the inertia screen (module docstring): delta is far above
 # the 3e-8 that eigh's and eigvalsh's errors add up to at the search cap, and
 # eps keeps t = best_val - delta well above 0.  Below eps (a graph whose
@@ -119,7 +130,7 @@ class SignedAdjacency:
             raise ValueError(f"signed adjacency must be square, got shape {m.shape}")
         if not np.issubdtype(m.dtype, np.integer):
             raise ValueError("signed adjacency entries must be integers")
-        if not ((m >= -1) & (m <= 1)).all():
+        if m.size and (m.min() < -1 or m.max() > 1):
             raise ValueError("signed adjacency entries must be in {-1, 0, 1}")
         if (m != m.T).any():
             raise ValueError("signed adjacency must be symmetric")
@@ -152,18 +163,20 @@ def huang_signing(n: int) -> SignedAdjacency:
 
     Vertices are bitmasks; block halves split on the most significant bit, so
     the support equals the hypercube adjacency (vertices adjacent when their
-    masks differ in exactly one bit).
+    masks differ in exactly one bit).  The matrix is filled in place from the
+    sign rule of the module docstring, with no block recursion.
     """
     if n < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {n}")
     if n > HUANG_DIMENSION_CAP:
         raise BudgetExceeded(f"hypercube dimension {n} exceeds the cap {HUANG_DIMENSION_CAP}")
-    b = np.array([[0, 1], [1, 0]], dtype=np.int8)
-    for _ in range(n - 1):
-        size = b.shape[0]
-        eye = np.eye(size, dtype=np.int8)
-        b = np.block([[b, eye], [eye, -b]])
-    return SignedAdjacency(b)
+    u = np.arange(1 << n)
+    m = np.zeros((u.size, u.size), dtype=np.int8)
+    parity = np.zeros_like(u)  # popcount(u >> (i + 1)) mod 2
+    for i in reversed(range(n)):
+        m[u, u ^ (1 << i)] = 1 - 2 * parity
+        parity ^= (u >> i) & 1
+    return SignedAdjacency(m)
 
 
 def _square_size(mat: np.ndarray, caller: str) -> int:
@@ -178,14 +191,36 @@ def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
 
     Entry (u, w) of M M is the sum of M[u,v] M[v,w] over the length-2 walks
     u-v-w, so only the nonzeros are visited and no n x n product is formed.
+    ValueError if those sums could leave int64 (module docstring).
     """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     if not np.issubdtype(mat.dtype, np.integer):
         raise ValueError("verify_signing requires an integer matrix")
-    n = _square_size(mat, "verify_signing")
+    _square_size(mat, "verify_signing")
+    return _squares_to(mat, c)
+
+
+def _product_bound(mat: np.ndarray, deg: np.ndarray) -> int:
+    """The most nonzeros in a row of mat times its largest squared entry, in
+    Python ints: a bound on every entry of M M and every partial sum of one."""
+    if mat.size == 0:
+        return 0
+    top = max(int(mat.max()), -int(mat.min()))
+    return int(deg.max()) * top * top
+
+
+def _squares_to(mat: np.ndarray, c: int) -> bool:
+    """verify_signing on a square integer array, by the walk check."""
+    n = mat.shape[0]
     rows, cols = np.nonzero(mat)  # row-major, so grouped by row
-    vals = mat[rows, cols].astype(np.int64)
     deg = np.bincount(rows, minlength=n)
+    bound = _product_bound(mat, deg)
+    if bound > _INT64_MAX:
+        raise ValueError(
+            f"verify_signing works in int64: entries of M M may reach {bound}, "
+            f"above 2^63 - 1"
+        )
+    vals = mat[rows, cols].astype(np.int64)
     row_start = np.cumsum(deg) - deg
     fanout = deg[cols]  # walks that start with each entry
     entry_at_row = np.append(row_start, rows.size)
@@ -201,22 +236,39 @@ def verify_signing(M: SignedAdjacency | np.ndarray, c: int) -> bool:
         r_next = max(r + 1, int(end) - 1)
         lo, hi = entry_at_row[r], entry_at_row[r_next]
         r = r_next
-        # walk j pairs entry first[j] = (u, v) with entry second[j] = (v, w)
-        f = fanout[lo:hi]
-        first = np.repeat(np.arange(lo, hi), f)
-        walk_start = np.cumsum(f) - f
-        second = np.arange(first.size) + np.repeat(row_start[cols[lo:hi]] - walk_start, f)
-        keys = rows[first] * n + cols[second]
-        terms = vals[first] * vals[second]
-        order = np.argsort(keys)
-        keys, terms = keys[order], terms[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, sums = keys[starts], np.add.reduceat(terms, starts)
+        keys, sums = _walk_sums(rows, cols, vals, row_start, fanout, lo, hi, n)
         on_diag = keys // n == keys % n
         if sums[~on_diag].any():
             return False
         diag[keys[on_diag] // n] = sums[on_diag]
     return bool((diag == c).all())
+
+
+def _walk_sums(rows, cols, vals, row_start, fanout, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of M M reached by the length-2 walks that start with
+    nonzeros lo..hi of (rows, cols, vals): keys u n + w, ascending, and sums.
+
+    Walk j pairs entry first[j] = (u, v) with entry second[j] = (v, w).  The
+    arrays are built in place and dropped early, so that at most four
+    walk-sized arrays are alive at once, and none outlives the call.
+    """
+    f = fanout[lo:hi]
+    first = np.repeat(np.arange(lo, hi), f)
+    walk_start = np.cumsum(f) - f
+    second = np.repeat(row_start[cols[lo:hi]] - walk_start, f)
+    second += np.arange(second.size)
+    keys, terms = rows[first], vals[first]
+    del first
+    keys *= n
+    keys += cols[second]
+    terms *= vals[second]
+    del second
+    order = np.argsort(keys)
+    keys = keys[order]
+    terms = terms[order]
+    del order
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(terms, starts)
 
 
 @dataclass(frozen=True)
@@ -232,9 +284,11 @@ class Spectrum:
 
 
 def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
-    """Eigenvalues of a signed adjacency matrix, from LAPACK (eigvalsh, which
-    returns them in ascending order).
+    """Eigenvalues of a signed adjacency matrix, in ascending order.
 
+    An integer matrix that the walk check proves to square to c I gets its
+    eigenvalues from that certificate (module docstring); any other matrix
+    gets them from LAPACK (eigvalsh, which returns them in ascending order).
     Sizes up to SPECTRUM_SIZE_CAP are supported.  Input that is not a square
     2-D array raises ValueError, as in verify_signing, and so does an array
     that is not symmetric, since eigvalsh reads one triangle only;
@@ -248,11 +302,41 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
         raise ValueError("spectrum requires a symmetric matrix")
     if n == 0:
         return Spectrum(np.zeros(0), 0.0)
+    if np.issubdtype(mat.dtype, np.integer):
+        certified = _certified_spectrum(mat)
+        if certified is not None:
+            return certified
     try:
         vals = np.linalg.eigvalsh(mat.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     return Spectrum(eigenvalues=vals, min_modulus=float(np.abs(vals).min()))
+
+
+def _certified_spectrum(mat: np.ndarray) -> Spectrum | None:
+    """The spectrum of a nonempty symmetric integer array with M M = c I,
+    derived from c and tr M; None if the walk check is dearer than the float
+    copy, could leave int64, or fails."""
+    n = mat.shape[0]
+    deg = np.array([np.count_nonzero(row) for row in mat])  # no n x n temporary
+    if int(deg @ deg) > n * n or _product_bound(mat, deg) > _INT64_MAX:
+        return None
+    c = sum(x * x for x in mat[0].tolist())
+    if not _squares_to(mat, c):
+        return None
+    if c == 0:  # a symmetric M with M M = 0 is 0
+        return Spectrum(np.zeros(n), 0.0)
+    # k+ + k- = n and (k+ - k-) sqrt(c) = tr M, so k+ - k- is tr M / r when
+    # c = r^2, and 0 when sqrt(c) is irrational
+    trace = sum(np.diagonal(mat).tolist())
+    r = math.isqrt(c)
+    diff, rest = divmod(trace, r) if r * r == c else (0, trace)
+    if rest or (n + diff) % 2 or abs(diff) > n:
+        raise InvariantBreach(f"M M = {c} I but tr M = {trace} fits no spectrum of size {n}")
+    root = math.sqrt(c)
+    vals = np.full(n, root)
+    vals[: (n - diff) // 2] = -root
+    return Spectrum(eigenvalues=vals, min_modulus=root)
 
 
 # ---------------------------------------------------------------------------

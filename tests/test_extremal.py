@@ -699,7 +699,7 @@ def test_exhaustive_memory_is_bounded_by_the_chunk(monkeypatch):
 
 def test_runs_longer_than_the_chunk_cache_bypass_it():
     # a cold n = 24 run streams about 250 chunks: cached, they would evict the
-    # one chunk of the n = 16 run and keep 64 of their own alive
+    # one chunk of the n = 16 run and keep 128 of their own alive
     rng = random.Random(24)
     small, X = _random_graph(rng, 16), _random_graph(rng, 24)
     extremal._subset_chunk.cache_clear()

@@ -7,7 +7,7 @@ import pytest
 from cayleydeg.extremal import branch_and_bound, heuristic_search, min_max_degree
 from cayleydeg.graphs import Graph, builtin_graph, import_graph
 from cayleydeg.groups import element_order, make_generating_set, make_group
-from cayleydeg.signing import signing_search, spectrum
+from cayleydeg.signing import signing_search, spectrum, verify_signing
 from cayleydeg.witness import make_lift
 
 C5 = builtin_graph("cycle:5")
@@ -40,6 +40,14 @@ CASES = [
     (lambda: signing_search(C5, restarts=0), "restarts must be at least 1, got 0"),
     (lambda: signing_search(C5, budget=0), "evaluation budget must be at least 1, got 0"),
     (lambda: spectrum(np.array([[0, 2], [1, 0]])), "spectrum requires a symmetric matrix"),
+    (
+        lambda: verify_signing(np.array([[0, 2**32], [2**32, 0]]), 0),
+        f"verify_signing works in int64: entries of M M may reach {2**64}, above 2^63 - 1",
+    ),
+    (
+        lambda: verify_signing(np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64), 0),
+        f"verify_signing works in int64: entries of M M may reach {2**126}, above 2^63 - 1",
+    ),
 ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cayleydeg import signing
-from cayleydeg.errors import BudgetExceeded
+from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import Graph, build_cayley, builtin_graph
 from cayleydeg.groups import make_generating_set, make_group
 from cayleydeg.signing import (
@@ -119,7 +119,7 @@ def jacobi_eigenvalues(
 ) -> np.ndarray:
     """Cyclic Jacobi eigenvalues of a symmetric matrix, ascending.
 
-    The oracle for spectrum()'s LAPACK eigenvalues: full sweeps of Givens
+    The oracle for spectrum()'s eigenvalues, certified or from LAPACK: full sweeps of Givens
     rotations over the upper triangle until the off-diagonal Frobenius norm
     drops below tol * n.
     """
@@ -397,7 +397,7 @@ def _random_integer_matrices(rng):
     return out
 
 
-@pytest.mark.parametrize("block", [1, 7, signing._WALK_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, signing._WALK_BLOCK, 1 << 20])
 def test_verify_signing_matches_dense_product(block, monkeypatch):
     # small blocks split rows of M M across many blocks, and single rows
     # with more walks than the block make blocks of their own
@@ -723,3 +723,123 @@ def test_signing_file_size_is_refused_before_allocation():
             tracemalloc.stop()
         assert peak < 1 << 20
     assert signing_from_json(json.dumps({"n": cap, "signs": []})).size == cap
+
+
+# ---------------------------------------------------------------------------
+# the in-place Huang matrix and spectra certified by M M = c I
+
+
+def _block_recursion(n):
+    """Huang's B_n by B_1 = [[0,1],[1,0]], B_k = [[B_{k-1}, I], [I, -B_{k-1}]]."""
+    b = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    for _ in range(n - 1):
+        eye = np.eye(b.shape[0], dtype=np.int8)
+        b = np.block([[b, eye], [eye, -b]])
+    return b
+
+
+def test_huang_signing_matches_the_block_recursion():
+    for n in range(1, HUANG_DIMENSION_CAP + 1):
+        M = huang_signing(n).matrix
+        assert M.dtype == np.int8 and np.array_equal(M, _block_recursion(n)), n
+
+
+class _CountedEigvalsh:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._fn = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._fn(*args, **kwargs)
+
+
+def _permuted(M, rng):
+    perm = list(range(M.shape[0]))
+    rng.shuffle(perm)
+    return M[np.ix_(perm, perm)]
+
+
+def test_certified_spectrum_matches_lapack_and_jacobi(monkeypatch):
+    rng = random.Random(2026)
+    cases = [m for m in _random_integer_matrices(rng) if np.array_equal(m, m.T) and m.size]
+    cases += [_permuted(huang_signing(n).matrix, rng) for n in range(1, 7)]
+    cases += [k * np.eye(n, dtype=np.int64) for k in (1, -1) for n in (1, 4, 5)]
+    cases += [np.array([[3]], dtype=np.int32), np.zeros((6, 6), dtype=np.int8)]
+    flipped = huang_signing(5).matrix.copy()
+    flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+    eigvalsh = _CountedEigvalsh(monkeypatch)
+    certified = 0
+    for mat in cases + [flipped]:
+        before = eigvalsh.calls
+        got = spectrum(mat)
+        certified += eigvalsh.calls == before
+        want = eigvalsh._fn(mat.astype(np.float64))
+        assert np.allclose(got.eigenvalues, want, atol=1e-9, rtol=0), mat.tolist()
+        assert np.allclose(got.eigenvalues, jacobi_eigenvalues(mat, tol=1e-11), atol=1e-8)
+        assert got.min_modulus == pytest.approx(np.abs(want).min(), abs=1e-9)
+    # the scaled involutions (c = 1, 4, 9), the 1 x 1 and zero matrices, the
+    # Huang signings but q3, +-I and [[3]] are certified; the dense Hadamard
+    # matrices, which have more length-2 walks than entries, are not
+    assert certified > 90
+    before = eigvalsh.calls
+    spectrum(flipped)
+    assert eigvalsh.calls == before + 1
+    # the zero matrix has eigenvalues +0.0, as LAPACK gives them
+    assert not np.signbit(spectrum(np.zeros((5, 5), dtype=np.int16)).eigenvalues).any()
+
+
+def test_an_inconsistent_certificate_is_a_breach(monkeypatch):
+    # no symmetric matrix has M M = c I with these traces; a walk check that
+    # claimed so must not become a spectrum
+    monkeypatch.setattr(signing, "_squares_to", lambda mat, c: True)
+    for mat in ([[1, 1, 0], [1, 0, 0], [0, 0, 0]], [[2, 0], [0, 0]]):
+        with pytest.raises(InvariantBreach):
+            spectrum(np.array(mat))
+
+
+def test_huang_spectra_run_no_eigensolver(monkeypatch):
+    # q3 alone has more length-2 walks (8 * 3^2 = 72) than 8^2 entries, so
+    # its spectrum comes from LAPACK
+    eigvalsh = _CountedEigvalsh(monkeypatch)
+    for n in range(1, 12):
+        before = eigvalsh.calls
+        spec = spectrum(huang_signing(n))
+        assert eigvalsh.calls - before == (n == 3)
+        if n == 3:
+            continue
+        root = math.sqrt(n)
+        half = 1 << (n - 1)
+        assert spec.eigenvalues.dtype == np.float64
+        assert spec.eigenvalues.tolist() == [-root] * half + [root] * half
+        assert spec.min_modulus == root
+
+
+def test_huang_spectrum_memory_is_below_the_float_copy():
+    M = huang_signing(11)
+    n = M.size
+    tracemalloc.start()
+    try:
+        spectrum(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float64).itemsize // 8, peak
+
+
+def test_huang_spectrum_csv_is_pinned():
+    text = spectrum_to_csv(spectrum(huang_signing(10)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5287b1b9f11ca514dc869689f9971d1baf5a1be007c17d7c60e76dcc7110c105"
+    )
+
+
+def test_matrices_that_could_overflow_int64_go_to_lapack(monkeypatch):
+    eigvalsh = _CountedEigvalsh(monkeypatch)
+    for mat in (np.array([[0, 1 << 32], [1 << 32, 0]]),
+                np.array([[0, 1 << 63], [1 << 63, 0]], dtype=np.uint64)):
+        spec = spectrum(mat)
+        top = float(mat[0, 1])
+        assert np.allclose(spec.eigenvalues, [-top, top], rtol=1e-12)
+    assert eigvalsh.calls == 2
