@@ -3,9 +3,9 @@
 Exit codes: 0 success (and no findings), 1 a conjecture-violation finding,
 2 usage or input error (for scan: also any instance that could not be
 checked, such as one over the subset budget, when nothing was found),
-3 internal invariant breach.  The CAYLEYDEG_OUT_DIR
-environment variable, when set, is the base directory for relative output
-paths.
+3 internal invariant breach or any other unexpected error, whose traceback
+goes to stderr.  The CAYLEYDEG_OUT_DIR environment variable, when set, is
+the base directory for relative output paths.
 
 Each input is checked once: argparse checks the command line, the token
 parsers only parse, and the library checks what the tokens mean.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+import traceback
 from pathlib import Path
 
 from .errors import InvariantBreach, load_json
@@ -50,25 +50,14 @@ from .signing import (
 )
 from .witness import abelian_witness
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global run options shared by all commands."""
-
-    seed: int
-    seed_explicit: bool
-    jobs: int
-    ci: bool
-    out_dir: Path
-
-
-def _resolve_out(cfg: RunConfig, path: str | None) -> Path | None:
+def _resolve_out(path: str | None) -> Path | None:
     if path is None:
         return None
     p = Path(path)
-    return p if p.is_absolute() else cfg.out_dir / p
+    return p if p.is_absolute() else Path(os.environ.get("CAYLEYDEG_OUT_DIR", ".")) / p
 
 
 def _split_tokens(text: str) -> list[str]:
@@ -151,7 +140,7 @@ def _write_or_print(path: Path | None, text: str) -> None:
         print(f"wrote {path}")
 
 
-def cmd_build(args, cfg: RunConfig) -> int:
+def cmd_build(args) -> int:
     G = make_group(args.group)
     S = make_generating_set(
         G, _parse_elements(G, args.gens), allow_nongenerating=args.allow_nongenerating
@@ -163,22 +152,24 @@ def cmd_build(args, cfg: RunConfig) -> int:
     print(f"cayley graph: {X.graph.n} vertices, {X.graph.edge_count} edges, "
           f"{S.size}-regular, {len(comps)} component(s)")
     data = export_graph(X.graph, args.format).decode()
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(args.out)
     if out is not None or args.print_graph:
         _write_or_print(out, data)
     return 0
 
 
-def cmd_witness(args, cfg: RunConfig) -> int:
+def cmd_witness(args) -> int:
     G = make_group(args.group)
     S = make_generating_set(G, _parse_elements(G, args.gens))
     subset = _parse_subset(G, args.subset)
     report = abelian_witness(G, S, subset)
-    _write_or_print(_resolve_out(cfg, args.out), report.to_json())
+    _write_or_print(_resolve_out(args.out), report.to_json())
     return 0
 
 
-def cmd_scan(args, cfg: RunConfig) -> int:
+def cmd_scan(args) -> int:
+    if not (args.abelian_orders or args.groups or args.graph):
+        raise ValueError("nothing to scan: pass --abelian-orders, --groups, or --graph")
     items: list[tuple] = []
     if args.abelian_orders:
         spec = args.abelian_orders
@@ -193,17 +184,17 @@ def cmd_scan(args, cfg: RunConfig) -> int:
             [g.strip() for g in args.groups.split(",") if g.strip()],
             max_size=args.max_set_size,
         )
-    for name in args.graph or []:
-        items += graph_scan_items([name])
+    items += graph_scan_items(args.graph or [])
     if not items:
-        raise ValueError("nothing to scan: pass --abelian-orders, --groups, or --graph")
+        raise ValueError("nothing to scan: the selectors match no instance "
+                         "(check the --abelian-orders range and --max-set-size)")
 
     summary, csv_text = scan(
         items,
         budget=args.budget,
-        out_csv=_resolve_out(cfg, args.out),
-        violations_dir=_resolve_out(cfg, args.violations_dir),
-        jobs=cfg.jobs,
+        out_csv=_resolve_out(args.out),
+        violations_dir=_resolve_out(args.violations_dir),
+        jobs=args.jobs,
     )
     if args.out is None:
         sys.stdout.write(csv_text)
@@ -219,7 +210,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     return 2 if summary.errors else 0
 
 
-def cmd_counterexample(args, cfg: RunConfig) -> int:
+def cmd_counterexample(args) -> int:
     inst = counterexample_graph(args.n)
     checks = counterexample_checks(inst)
     X = inst.graph
@@ -231,20 +222,20 @@ def cmd_counterexample(args, cfg: RunConfig) -> int:
     print(f"subset size {inst.subset.size} induces max degree {deg}")
     # degree 1 beats the sqrt bound only once the regularity is above 2
     print(f"  bound violated: {'yes' if checks['bound_violated'] else 'no'}")
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(args.out)
     if out is not None:
         _write_or_print(out, inst.to_json())
     return 0 if all(checks[k] for k in required) else 3
 
 
-def cmd_huang(args, cfg: RunConfig) -> int:
+def cmd_huang(args) -> int:
     M = huang_signing(args.n)
     if args.verify:
         ok = verify_signing(M, args.n)
         print(f"M^2 = {args.n}I: {'OK' if ok else 'FAIL'}")
         if not ok:
             raise InvariantBreach("recursive signing failed verification")
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(args.out)
     if out is not None:
         _write_or_print(out, signing_to_json(M))
     else:
@@ -253,23 +244,23 @@ def cmd_huang(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     M = signing_from_json(Path(args.infile).read_text())
     ok = verify_signing(M, args.c)
     print(f"M^2 = {args.c}I: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
+def cmd_spectrum(args) -> int:
     M = signing_from_json(Path(args.infile).read_text())
     spec = spectrum(M)
-    _write_or_print(_resolve_out(cfg, args.out), spectrum_to_csv(spec))
+    _write_or_print(_resolve_out(args.out), spectrum_to_csv(spec))
     print(f"min modulus: {spec.min_modulus:.12g}", file=sys.stderr)
     return 0
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
-    if cfg.ci and not cfg.seed_explicit and not args.exhaustive:
+def cmd_search(args) -> int:
+    if args.ci and args.seed is None and not args.exhaustive:
         raise ValueError("--ci requires an explicit --seed for randomized search")
     if args.infile is not None:
         X = import_graph(Path(args.infile).read_text(), "json", cap=SEARCH_SIZE_CAP)
@@ -277,17 +268,17 @@ def cmd_search(args, cfg: RunConfig) -> int:
         X = builtin_graph(args.graph)
     res = signing_search(
         X,
-        seed=cfg.seed,
+        seed=args.seed or 0,
         budget=args.budget,
         restarts=args.restarts,
         exhaustive=args.exhaustive,
-        jobs=cfg.jobs,
+        jobs=args.jobs,
     )
     print(
         f"{res.method} search over {X.edge_count} edges: "
         f"min modulus {res.min_modulus:.12g} ({res.evaluations} evaluations)"
     )
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(args.out)
     if out is not None:
         _write_or_print(out, signing_to_json(res.signing))
     return 0
@@ -373,21 +364,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-
-    cfg = RunConfig(
-        seed=args.seed if args.seed is not None else 0,
-        seed_explicit=args.seed is not None,
-        jobs=max(1, args.jobs),
-        ci=args.ci,
-        out_dir=Path(os.environ.get("CAYLEYDEG_OUT_DIR", ".")),
-    )
+    args.jobs = max(1, args.jobs)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError) as exc:  # BudgetExceeded and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except Exception:  # a fault of the program, never a finding: exit 1 stays a finding
+        traceback.print_exc()
         return 3
 
 

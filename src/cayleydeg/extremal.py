@@ -485,20 +485,18 @@ class ScanSummary:
 def iter_abelian_moduli(max_order: int, min_order: int = 2) -> list[tuple[int, ...]]:
     """Every cyclic-product presentation (moduli >= 2, non-increasing) with
     order in [min_order, max_order], ordered by order then lexicographically."""
-    out = []
-    for order in range(max(2, min_order), max_order + 1):
-        stack = [(order, order, ())]
-        found = []
-        while stack:
-            left, cap, acc = stack.pop()
-            if left == 1:
-                found.append(acc)
-                continue
-            for m in range(min(left, cap), 1, -1):
-                if left % m == 0:
-                    stack.append((left // m, m, acc + (m,)))
-        out.extend(sorted(found))
-    return out
+
+    def presentations(left: int, cap: int, acc: tuple[int, ...]):
+        # acc, then non-increasing moduli <= cap with product left; the next
+        # modulus ascends, so the order is lexicographic (none prefixes another)
+        if left == 1:
+            yield acc
+        for m in range(2, min(left, cap) + 1):
+            if left % m == 0:
+                yield from presentations(left // m, m, acc + (m,))
+
+    return [p for order in range(max(2, min_order), max_order + 1)
+            for p in presentations(order, order, ())]
 
 
 def abelian_scan_items(
@@ -530,13 +528,6 @@ def graph_scan_items(names: Sequence[str]) -> list[tuple]:
     return [("graph", name) for name in names]
 
 
-def _item_label(item: tuple) -> str:
-    """The graph label a scan item gets in the CSV."""
-    if item[0] == "cayley":
-        return _cayley_label(item[1], item[2])
-    return str(item[1])
-
-
 def _item_graph(item: tuple) -> Graph:
     """The graph of a scan item, built afresh."""
     if item[0] == "cayley":
@@ -544,28 +535,21 @@ def _item_graph(item: tuple) -> Graph:
     return builtin_graph(item[1])
 
 
-def _scan_row(item: tuple, budget: int) -> ConjectureReport | str:
-    """The report of one scan item, or the error line naming its CSV label."""
-    kind = item[0]
-    try:
-        if kind == "cayley":
-            _, G, S = item
-            return verify_conjecture(G, S, budget=budget)
-        if kind == "graph":
-            _, name = item
-            X = builtin_graph(name)
-            if not X.is_regular():
-                raise ValueError(f"catalog graph {name} is not regular")
-            res = min_max_degree(X, X.n // 2 + 1, budget=budget)
-            return _bound_report(name, res, X.max_degree(), t=None, abelian=False)
-        raise ValueError(f"unknown scan item kind {kind!r}")
-    except ValueError as exc:  # recorded per instance; the scan keeps going
-        return f"{_item_label(item)}: {exc}"
-
-
 def _scan_worker(args: tuple) -> ConjectureReport | str:
+    """The report of one (scan item, budget) pair, or the error line naming
+    the item's CSV label."""
     item, budget = args
-    return _scan_row(item, budget)
+    cayley = item[0] == "cayley"
+    try:
+        if cayley:
+            return verify_conjecture(item[1], item[2], budget=budget)
+        X = builtin_graph(item[1])
+        if not X.is_regular():
+            raise ValueError(f"catalog graph {item[1]} is not regular")
+        res = min_max_degree(X, X.n // 2 + 1, budget=budget)
+        return _bound_report(item[1], res, X.max_degree(), t=None, abelian=False)
+    except ValueError as exc:  # recorded per instance; the scan keeps going
+        return f"{_cayley_label(item[1], item[2]) if cayley else item[1]}: {exc}"
 
 
 def scan(

@@ -267,27 +267,30 @@ def counterexample_graph(n: int) -> CounterexampleInstance:
 
     Vertex layout: A = 0..n, B = n+1..2n, C = 2n+1..3n+1, D = 3n+2..4n+1,
     so the left side L = A u B occupies 0..2n and the right side R = C u D
-    occupies 2n+1..4n+1.
+    occupies 2n+1..4n+1.  More than 4096 vertices, the catalog's cap, raise
+    BudgetExceeded before anything is built.  The adjacency masks are read
+    off the part masks, since every edge list is a whole part or a matching.
     """
     if n < 1:
         raise ValueError(f"counterexample parameter must be >= 1, got {n}")
-    a = list(range(0, n + 1))
-    b = list(range(n + 1, 2 * n + 1))
-    c = list(range(2 * n + 1, 3 * n + 2))
-    d = list(range(3 * n + 2, 4 * n + 2))
-    edges = [(a[i], c[i]) for i in range(n + 1)]
-    edges += [(x, y) for x in a for y in d]
-    edges += [(x, y) for x in b for y in c]
     size = 4 * n + 2
-    graph = Graph(size, edges)
+    _check_cap("counterexample graph", size, _BUILTIN_VERTEX_CAP)
+    a = (1 << (n + 1)) - 1
+    b = ((1 << n) - 1) << (n + 1)
+    c = a << (2 * n + 1)
+    d = b << (2 * n + 1)
+    # a_i ~ c_i and all of D; B ~ all of C; c_i ~ a_i and all of B; D ~ all of A
+    masks = [1 << (2 * n + 1 + i) | d for i in range(n + 1)] + [c] * n
+    masks += [1 << i | b for i in range(n + 1)] + [a] * n
+    graph = Graph._from_masks(size, tuple(masks), (n + 1) * (2 * n + 1))
     return CounterexampleInstance(
         n=n,
         graph=graph,
-        part_a=VertexSet.from_members(size, a),
-        part_b=VertexSet.from_members(size, b),
-        part_c=VertexSet.from_members(size, c),
-        part_d=VertexSet.from_members(size, d),
-        subset=VertexSet.from_members(size, a + c),
+        part_a=VertexSet(size, a),
+        part_b=VertexSet(size, b),
+        part_c=VertexSet(size, c),
+        part_d=VertexSet(size, d),
+        subset=VertexSet(size, a | c),
     )
 
 

@@ -8,8 +8,9 @@ identity at index 0.  Named builtins (dihedral, symmetric, alternating,
 quaternion) are constructed as validated tables; all but dihedral, which is
 one numpy broadcast, come from _table_from, which indexes a listed group
 under its product.
-A table is validated exactly at every order up to 2048 (2^22 entries; larger
-ones are refused before they are built or read); associativity by Light's test.
+A table, a list of row lists as JSON spells it, is validated exactly at
+every order up to 2048 (2^22 entries; larger ones are refused before they
+are built or read); associativity by Light's test.
 A table group keeps its table as one read-only intp array; the cached
 inverses and residues are read-only too, and an unpickled group is rebuilt
 through __init__, so the arrays stay read-only in every process.  Generating
@@ -148,20 +149,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_table(table: Sequence[Sequence[int]]) -> np.ndarray:
+def _validate_table(table: list[list[int]]) -> np.ndarray:
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table is empty")
-    rows = []
     for i, row in enumerate(table):
-        row = tuple(row)
+        if not isinstance(row, list):
+            raise ValueError(f"table row {i} must be a list, got {type(row).__name__}")
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
-        rows.append(row)
-    arr = np.array(rows, dtype=np.intp)
+    arr = np.array(table, dtype=np.intp)
     idx = np.arange(n)
 
     # Latin square: the first bad line, row i before column i
@@ -239,7 +239,9 @@ def _check_table_order(n: int) -> None:
         )
 
 
-def _table_group(table: Sequence[Sequence[int]], name: str) -> FiniteGroup:
+def _table_group(table: list[list[int]], name: str) -> FiniteGroup:
+    if not isinstance(table, list):
+        raise ValueError(f"multiplication table must be a list of rows, got {type(table).__name__}")
     _check_table_order(len(table))
     t = _validate_table(table)
     return FiniteGroup(order=len(t), name=name, table=t)

@@ -8,7 +8,8 @@ neighbors of u inside U, where d = t + (number of inverse pairs) counts the
 1. cover_shift: in a product of cycles, the translates U_r = {r + sum_{i in T}
    e_i : T subset of directions} tile the group with 2^d-fold multiplicity, so
    sum_r |U_r n U| = 2^d |U| exactly.  When |U| > |G|/2 the average beats
-   2^(d-1), hence some shift r has |U_r n U| > 2^(d-1).
+   2^(d-1), hence some shift r has |U_r n U| > 2^(d-1).  Both certificates
+   check the identity and the bound in one place, _best_cover.
 
 2. cube_witness: the translate U_r induces a copy of the d-dimensional
    hypercube, and any subset of more than half its vertices contains a vertex
@@ -107,21 +108,33 @@ def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
 
 def _cover_shift(moduli: tuple[int, ...], ind: np.ndarray) -> tuple[int, int]:
     """cover_shift for validated moduli and a flat int8 membership array."""
-    n = ind.size
-    d = len(moduli)
-    size = int(ind.sum())
-    if 2 * size <= n:
+    size = _majority(ind)
+    return _best_cover(_cover_counts(moduli, ind), size, len(moduli))
+
+
+def _majority(ind: np.ndarray) -> int:
+    """|U| for the int8 membership array of U; refuses U unless |U| > |G|/2."""
+    size = int(np.count_nonzero(ind))
+    if 2 * size <= ind.size:
         raise ValueError(
-            f"subset has {size} of {n} vertices; a strict majority is required"
+            f"subset has {size} of {ind.size} vertices; a strict majority is required"
         )
-    counts = _cover_counts(moduli, ind)
-    r = int(np.argmax(counts))  # argmax returns the first, i.e. smallest, index
-    best = int(counts[r])
+    return size
+
+
+def _best_cover(counts: np.ndarray, size: int, d: int) -> tuple[int, int]:
+    """(i, counts[i]) at the first maximum of the cover counts of a subset of
+    `size` elements along d directions, checking sum(counts) = 2^d |U| and
+    counts[i] > 2^(d-1) exactly: the covering step of both certificates."""
+    if int(counts.sum()) != (1 << d) * size:
+        raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
+    i = int(np.argmax(counts))  # argmax returns the first, i.e. smallest, index
+    best = int(counts[i])
     if not best > (1 << (d - 1)):
         raise InvariantBreach(
             f"covering bound failed: best shift count {best} <= 2^{d - 1}"
         )
-    return r, best
+    return i, best
 
 
 @dataclass(frozen=True)
@@ -353,11 +366,7 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
             f"witness cube has 2^{S.d} = {1 << S.d} corners, above the cap {DEFAULT_LIFT_CAP}"
         )
     u_ind = _membership_array(G.order, U)
-    size = int(np.count_nonzero(u_ind))
-    if 2 * size <= G.order:
-        raise ValueError(
-            f"subset has {size} of {G.order} vertices; a strict majority is required"
-        )
+    size = _majority(u_ind)
     m, d = _check_lift(G, S)
     images = S.images()
     rows = G.translations(images)
@@ -366,14 +375,8 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     counts = u_ind.astype(np.int64)
     for row in rows:
         counts += counts[row]
-    if int(counts.sum()) != (1 << d) * size:
-        raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
-    p = int(np.argmax(counts[listed]))  # the first maximum has the least preimage
-    cube_points = int(counts[listed[p]])
-    if not cube_points > (1 << (d - 1)):
-        raise InvariantBreach(
-            f"covering bound failed: best shift count {cube_points} <= 2^{d - 1}"
-        )
+    # listed is a permutation of G, so the first maximum has the least preimage
+    p, cube_points = _best_cover(counts[listed], size, d)
     digits = [int(x) for x in np.unravel_index(p, radices)]
     r = sum(x * m ** (d - 1 - j) for j, x in enumerate(digits))
 

@@ -173,7 +173,35 @@ def test_scan_output_under_a_file_fails_before_any_instance(tmp_path, monkeypatc
 
 def test_scan_without_targets_errors(capsys):
     assert main(["scan"]) == 2
-    assert "nothing to scan" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: nothing to scan: pass --abelian-orders, --groups, or --graph\n"
+    )
+
+
+@pytest.mark.parametrize("selectors", [
+    ["--abelian-orders", "16..2"],
+    ["--abelian-orders", "4", "--max-set-size", "0"],
+    ["--groups", "q8", "--max-set-size", "1"],
+])
+def test_scan_selectors_matching_nothing_say_so(capsys, selectors):
+    assert main(["scan", *selectors]) == 2
+    assert capsys.readouterr().err == (
+        "error: nothing to scan: the selectors match no instance "
+        "(check the --abelian-orders range and --max-set-size)\n"
+    )
+
+
+def test_unexpected_errors_exit_3_with_a_traceback(monkeypatch, capsys):
+    import cayleydeg.cli as cli
+
+    def boom(args):
+        raise TypeError("simulated fault")
+
+    # exit 1 is kept for findings: a fault of the program is never one
+    monkeypatch.setattr(cli, "cmd_counterexample", boom)
+    assert main(["counterexample", "--n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("TypeError: simulated fault\n")
 
 
 def test_counterexample_command(tmp_path, capsys):
@@ -418,6 +446,12 @@ def test_scan_takes_every_catalog_graph(capsys):
          "subset file must hold a JSON list"),
         (["signing", "verify", "--c", "1", "--in", "FILE"], '{"n":2,"signs":[[0,1,1],[0,1,1]]}',
          "duplicate edge (0,1)"),
+        (["build", "--group", '{"table": 5}', "--gens", "1"], None,
+         "multiplication table must be a list of rows, got int"),
+        (["build", "--group", '{"table": [5]}', "--gens", "1"], None,
+         "table row 0 must be a list, got int"),
+        (["build", "--group", '{"table": [[0, 1], 7]}', "--gens", "1"], None,
+         "table row 1 must be a list, got int"),
     ],
 )
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, command, text, message):
@@ -498,3 +532,64 @@ def test_q5_signing_search_output_is_pinned(tmp_path, capsys):
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == Q5_SEARCH_JSON_SHA256
     assert hashlib.sha256(stdout.encode()).hexdigest() == Q5_SEARCH_STDOUT_SHA256
+
+
+# The hostile-input gate: each row runs the CLI in a child process whose
+# address space alone is capped at 256 MB.  A refusal must come before any
+# allocation that limit would stop.  One argument carries at most 128 KiB on
+# Linux, so the nested group spec is 65,000 deep there; the signing file
+# nests 100,000 deep.
+_HOSTILE_LIMIT = 256 << 20
+_DEEP_SPEC = '{"table":' + "[" * 65_000 + "]" * 65_000 + "}"
+_HOSTILE = [
+    pytest.param(["build", "--group", '{"table": 5}', "--gens", "1"], None, 2, id="table-int"),
+    pytest.param(["build", "--group", '{"table": [5]}', "--gens", "1"], None, 2, id="table-row-int"),
+    pytest.param(["build", "--group", '{"table": [[0, 1], 7]}', "--gens", "1"], None, 2,
+                 id="table-second-row-int"),
+    pytest.param(["counterexample", "--n", "1024"], None, 2, id="counterexample-1024"),
+    pytest.param(["counterexample", "--n", "1000000"], None, 2, id="counterexample-1000000"),
+    pytest.param(["scan", "--graph", "complete:100000"], None, 2, id="scan-complete"),
+    pytest.param(["scan", "--graph", "cycle:4097"], None, 2, id="scan-cycle"),
+    pytest.param(["signing", "huang", "--n", "13"], None, 2, id="huang-13"),
+    pytest.param(["build", "--group", "dihedral:1025", "--gens", "1"], None, 2, id="dihedral-1025"),
+    pytest.param(["signing", "verify", "--c", "1", "--in", "FILE"], '{"n":4097,"signs":[]}', 2,
+                 id="signing-file-4097"),
+    pytest.param(["signing", "verify", "--c", "1", "--in", "FILE"],
+                 "[" * 100_000 + "]" * 100_000, 2, id="signing-file-deep"),
+    pytest.param(["signing", "search", "--in", "FILE"], '{"n":513,"edges":[]}', 2,
+                 id="graph-file-513"),
+    pytest.param(["build", "--group", _DEEP_SPEC, "--gens", "1"], None, 2, id="deep-group-spec"),
+    # controls: the same limit admits real work
+    pytest.param(["counterexample", "--n", "3"], None, 0, id="control-counterexample-3"),
+    pytest.param(["counterexample", "--n", "1023"], None, 0, id="control-counterexample-1023"),
+]
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_HOSTILE_LIMIT, _HOSTILE_LIMIT))
+
+
+@pytest.mark.parametrize("command, text, code", _HOSTILE)
+def test_hostile_inputs_are_refused_under_a_256_mb_address_space(tmp_path, command, text, code):
+    if text is not None:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        command = [arg.replace("FILE", str(path)) for arg in command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleydeg.cli", *command],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        return
+    if command[0] == "scan":
+        # a scan records a refused instance and goes on; nothing was scanned
+        assert proc.stderr.startswith("scanned 0 instance(s)"), proc.stderr
+        assert f"\ninstance error: {command[-1]}: " in proc.stderr
+    else:
+        assert proc.stderr.startswith("error:"), proc.stderr

@@ -1,12 +1,15 @@
 """Tests for graph primitives, Cayley construction, and serialization."""
 
+import hashlib
 import pickle
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
+from cayleydeg.errors import BudgetExceeded
 from cayleydeg.extremal import verify_conjecture
 from cayleydeg.graphs import (
     Graph,
@@ -198,6 +201,34 @@ def test_counterexample_n1_is_hexagon():
 def test_counterexample_rejects_bad_n():
     with pytest.raises(ValueError):
         counterexample_graph(0)
+
+
+# sha256 of the counterexample JSON for n = 1..100, joined by newlines, as
+# the edge-list construction wrote it
+COUNTEREXAMPLE_JSON_SHA256 = "e8a142f2a1a73cd5a8d86605c173440680422e036c66d9a36f002959a6498b24"
+
+
+def test_counterexample_json_is_pinned_and_masks_match_the_edges():
+    docs = [counterexample_graph(n).to_json() for n in range(1, 101)]
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == COUNTEREXAMPLE_JSON_SHA256
+    for n in (1, 2, 7):  # the graph equals one built from its edge list, which Graph checks
+        X = counterexample_graph(n).graph
+        rebuilt = Graph(X.n, X.edges())
+        assert rebuilt == X and rebuilt.edge_count == X.edge_count == (n + 1) * (2 * n + 1)
+
+
+def test_counterexample_size_is_refused_before_allocation():
+    assert counterexample_graph(1023).graph.n == 4094  # the largest under the cap
+    for n in (1024, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                counterexample_graph(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"counterexample graph has {4 * n + 2} vertices, above the cap 4096"
+        assert peak < 1 << 16
 
 
 def test_export_json_exact_bytes():

@@ -193,7 +193,7 @@ def test_table_entry_errors_name_the_first_bad_entry():
         with pytest.raises(ValueError) as err:
             _validate_table(table)
         assert str(err.value) == message
-    with pytest.raises(TypeError):  # a row that is not a sequence
+    with pytest.raises(ValueError, match="^table row 4 must be a list, got int$"):
         _validate_table(z5[:4] + [5])
     with pytest.raises(ValueError, match="entry 9 in row 0"):
         _validate_table([with_entry(0, 1, 9)[0]] + z5[1:4] + [5])
