@@ -53,11 +53,20 @@ from .witness import abelian_witness
 __all__ = ["main", "entry"]
 
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
+def _out_path(text: str) -> Path:
+    """An output path; a relative one is read under $CAYLEYDEG_OUT_DIR."""
+    return Path(os.environ.get("CAYLEYDEG_OUT_DIR", ".")) / text
+
+
+def _order_range(text: str) -> tuple[int, int] | None:
+    """`LO..HI`, or `HI` for 2..HI, as (lo, hi); an empty value selects nothing."""
+    if not text:
         return None
-    p = Path(path)
-    return p if p.is_absolute() else Path(os.environ.get("CAYLEYDEG_OUT_DIR", ".")) / p
+    lo, dots, hi = text.partition("..")
+    try:
+        return (int(lo), int(hi)) if dots else (2, int(lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO..HI or HI, got {text!r}") from None
 
 
 def _split_tokens(text: str) -> list[str]:
@@ -152,9 +161,8 @@ def cmd_build(args) -> int:
     print(f"cayley graph: {X.graph.n} vertices, {X.graph.edge_count} edges, "
           f"{S.size}-regular, {len(comps)} component(s)")
     data = export_graph(X.graph, args.format).decode()
-    out = _resolve_out(args.out)
-    if out is not None or args.print_graph:
-        _write_or_print(out, data)
+    if args.out is not None or args.print_graph:
+        _write_or_print(args.out, data)
     return 0
 
 
@@ -163,7 +171,7 @@ def cmd_witness(args) -> int:
     S = make_generating_set(G, _parse_elements(G, args.gens))
     subset = _parse_subset(G, args.subset)
     report = abelian_witness(G, S, subset)
-    _write_or_print(_resolve_out(args.out), report.to_json())
+    _write_or_print(args.out, report.to_json())
     return 0
 
 
@@ -172,12 +180,7 @@ def cmd_scan(args) -> int:
         raise ValueError("nothing to scan: pass --abelian-orders, --groups, or --graph")
     items: list[tuple] = []
     if args.abelian_orders:
-        spec = args.abelian_orders
-        if ".." in spec:
-            lo_s, hi_s = spec.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo, hi = 2, int(spec)
+        lo, hi = args.abelian_orders
         items += abelian_scan_items(hi, min_order=lo, max_size=args.max_set_size)
     if args.groups:
         items += named_group_scan_items(
@@ -192,8 +195,8 @@ def cmd_scan(args) -> int:
     summary, csv_text = scan(
         items,
         budget=args.budget,
-        out_csv=_resolve_out(args.out),
-        violations_dir=_resolve_out(args.violations_dir),
+        out_csv=args.out,
+        violations_dir=args.violations_dir,
         jobs=args.jobs,
     )
     if args.out is None:
@@ -222,9 +225,8 @@ def cmd_counterexample(args) -> int:
     print(f"subset size {inst.subset.size} induces max degree {deg}")
     # degree 1 beats the sqrt bound only once the regularity is above 2
     print(f"  bound violated: {'yes' if checks['bound_violated'] else 'no'}")
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_or_print(out, inst.to_json())
+    if args.out is not None:
+        _write_or_print(args.out, inst.to_json())
     return 0 if all(checks[k] for k in required) else 3
 
 
@@ -235,9 +237,8 @@ def cmd_huang(args) -> int:
         print(f"M^2 = {args.n}I: {'OK' if ok else 'FAIL'}")
         if not ok:
             raise InvariantBreach("recursive signing failed verification")
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_or_print(out, signing_to_json(M))
+    if args.out is not None:
+        _write_or_print(args.out, signing_to_json(M))
     else:
         print(f"signing of q{args.n}: {M.size} vertices, "
               f"{len(M.edges_with_signs())} signed edges")
@@ -254,7 +255,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     M = signing_from_json(Path(args.infile).read_text())
     spec = spectrum(M)
-    _write_or_print(_resolve_out(args.out), spectrum_to_csv(spec))
+    _write_or_print(args.out, spectrum_to_csv(spec))
     print(f"min modulus: {spec.min_modulus:.12g}", file=sys.stderr)
     return 0
 
@@ -278,9 +279,8 @@ def cmd_search(args) -> int:
         f"{res.method} search over {X.edge_count} edges: "
         f"min modulus {res.min_modulus:.12g} ({res.evaluations} evaluations)"
     )
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_or_print(out, signing_to_json(res.signing))
+    if args.out is not None:
+        _write_or_print(args.out, signing_to_json(res.signing))
     return 0
 
 
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--gens", required=True, help="generator tokens, e.g. e1,e2 or 1,5 or (1,0),(0,1)")
     b.add_argument("--allow-nongenerating", action="store_true")
     b.add_argument("--format", choices=["json", "dot"], default="json")
-    b.add_argument("--out", default=None)
+    b.add_argument("--out", type=_out_path, default=None)
     b.add_argument("--print-graph", action="store_true", help="print the serialized graph")
     b.set_defaults(func=cmd_build)
 
@@ -308,23 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--group", required=True)
     w.add_argument("--gens", required=True)
     w.add_argument("--subset", required=True, help="element tokens, or @file with a JSON list")
-    w.add_argument("--out", default=None)
+    w.add_argument("--out", type=_out_path, default=None)
     w.set_defaults(func=cmd_witness)
 
     s = sub.add_parser("scan", help="scan families for bound violations")
-    s.add_argument("--abelian-orders", default=None, metavar="LO..HI",
+    s.add_argument("--abelian-orders", type=_order_range, default=None, metavar="LO..HI",
                    help="all cyclic-product groups with order in range, e.g. 2..16")
     s.add_argument("--groups", default=None, help="comma list of named groups, e.g. d4,q8,s3")
     s.add_argument("--graph", action="append", default=None, help="catalog graph (repeatable)")
     s.add_argument("--max-set-size", type=int, default=None)
     s.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    s.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    s.add_argument("--violations-dir", default=None)
+    s.add_argument("--out", type=_out_path, default=None, help="CSV path (default: stdout)")
+    s.add_argument("--violations-dir", type=_out_path, default=None)
     s.set_defaults(func=cmd_scan)
 
     c = sub.add_parser("counterexample", help="build and check a counterexample instance")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--out", default=None)
+    c.add_argument("--out", type=_out_path, default=None)
     c.set_defaults(func=cmd_counterexample)
 
     g = sub.add_parser("signing", help="signed adjacency operations")
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gh = gsub.add_parser("huang", help="recursive hypercube signing")
     gh.add_argument("--n", type=int, required=True)
     gh.add_argument("--verify", action="store_true")
-    gh.add_argument("--out", default=None)
+    gh.add_argument("--out", type=_out_path, default=None)
     gh.set_defaults(func=cmd_huang)
 
     gv = gsub.add_parser("verify", help="exact check that M^2 = cI")
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gs = gsub.add_parser("spectrum", help="eigenvalues of a signing")
     gs.add_argument("--in", dest="infile", required=True)
-    gs.add_argument("--out", default=None)
+    gs.add_argument("--out", type=_out_path, default=None)
     gs.set_defaults(func=cmd_spectrum)
 
     gr = gsub.add_parser("search", help="search signings for large smallest eigenvalue modulus")
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--exhaustive", action="store_true")
     gr.add_argument("--budget", type=int, default=2000)
     gr.add_argument("--restarts", type=int, default=8)
-    gr.add_argument("--out", default=None)
+    gr.add_argument("--out", type=_out_path, default=None)
     gr.set_defaults(func=cmd_search)
     return p
 

@@ -504,8 +504,7 @@ def abelian_scan_items(
 ) -> list[tuple]:
     """Scan items for every symmetric generating set of every cyclic-product
     group with order in range (see named_group_scan_items)."""
-    moduli = [list(m) for m in iter_abelian_moduli(max_order, min_order)]
-    return named_group_scan_items(moduli, max_size=max_size)
+    return named_group_scan_items(iter_abelian_moduli(max_order, min_order), max_size=max_size)
 
 
 def named_group_scan_items(specs: Sequence, max_size: int | None = None) -> list[tuple]:
@@ -544,8 +543,6 @@ def _scan_worker(args: tuple) -> ConjectureReport | str:
         if cayley:
             return verify_conjecture(item[1], item[2], budget=budget)
         X = builtin_graph(item[1])
-        if not X.is_regular():
-            raise ValueError(f"catalog graph {item[1]} is not regular")
         res = min_max_degree(X, X.n // 2 + 1, budget=budget)
         return _bound_report(item[1], res, X.max_degree(), t=None, abelian=False)
     except ValueError as exc:  # recorded per instance; the scan keeps going
@@ -568,9 +565,9 @@ def scan(
     errors: they are counted, and each is re-verified with
     induced_max_degree on a freshly built graph and emitted as a standalone
     JSON document (written under violations_dir when given).  An instance
-    that raises ValueError (a catalog graph that is not regular, or
-    BudgetExceeded) is recorded in the summary under its CSV label and the
-    scan continues; an InvariantBreach propagates.
+    that raises ValueError (an unknown catalog name, or BudgetExceeded) is
+    recorded in the summary under its CSV label and the scan continues; an
+    InvariantBreach propagates.
     Output is byte-identical for any jobs count.
     """
     # a path that cannot be written fails here, before any instance is checked
@@ -578,23 +575,13 @@ def scan(
         Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     if violations_dir is not None:
         Path(violations_dir).mkdir(parents=True, exist_ok=True)
-    rows = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
+    reports = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
+    done = [rep for rep in reports if not isinstance(rep, str)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    errors: list[str] = []
-    violations: list[dict] = []
-    weak_failures = 0
-    min_margin: int | None = None
-    count = 0
-    for item, rep in zip(items, rows):
-        if isinstance(rep, str):
-            errors.append(rep)
-            continue
-        count += 1
-        if min_margin is None or rep.margin < min_margin:
-            min_margin = rep.margin
+    for rep in done:
         writer.writerow(
             [
                 rep.label,
@@ -609,9 +596,11 @@ def scan(
                 " ".join(map(str, rep.witness.members())),
             ]
         )
-        if not rep.weak_ok:
-            weak_failures += 1
-            violations.append(_violation_record(rep, _item_graph(item)))
+    violations = [
+        _violation_record(rep, _item_graph(item))
+        for item, rep in zip(items, reports)
+        if not isinstance(rep, str) and not rep.weak_ok
+    ]
 
     csv_text = buf.getvalue()
     if out_csv is not None:
@@ -622,10 +611,10 @@ def scan(
                 json.dumps(rec, separators=(",", ":")) + "\n"
             )
     summary = ScanSummary(
-        instances=count,
-        weak_failures=weak_failures,
-        min_margin=min_margin,
-        errors=errors,
+        instances=len(done),
+        weak_failures=len(violations),
+        min_margin=min((rep.margin for rep in done), default=None),
+        errors=[rep for rep in reports if isinstance(rep, str)],
         violations=violations,
     )
     return summary, csv_text

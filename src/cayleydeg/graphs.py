@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import BudgetExceeded, load_json
-from .groups import FiniteGroup, GeneratingSet
+from .groups import MAX_GROUP_ORDER, FiniteGroup, GeneratingSet
 
 __all__ = [
     "Graph",
@@ -113,7 +113,10 @@ def _as_vertex_set(n: int, U) -> VertexSet:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Graph:
-    """An undirected simple graph; adj_masks[v] has bit u set when u ~ v."""
+    """An undirected simple graph; adj_masks[v] has bit u set when u ~ v.
+
+    More than MAX_GROUP_ORDER vertices, the order of the largest group, raise
+    BudgetExceeded before anything is allocated."""
 
     n: int
     adj_masks: tuple[int, ...]
@@ -122,6 +125,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        _check_cap("graph", n, MAX_GROUP_ORDER)
         masks = [0] * n
         count = 0
         for u, v in edges:

@@ -84,7 +84,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
-from .graphs import Graph, _json_records
+from .graphs import Graph, _check_cap, _json_records
 
 __all__ = [
     "SignedAdjacency",
@@ -289,15 +289,14 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
     An integer matrix that the walk check proves to square to c I gets its
     eigenvalues from that certificate (module docstring); any other matrix
     gets them from LAPACK (eigvalsh, which returns them in ascending order).
-    Sizes up to SPECTRUM_SIZE_CAP are supported.  Input that is not a square
-    2-D array raises ValueError, as in verify_signing, and so does an array
-    that is not symmetric, since eigvalsh reads one triangle only;
+    Sizes above SPECTRUM_SIZE_CAP raise BudgetExceeded.  Input that is not
+    a square 2-D array raises ValueError, as in verify_signing, and so does
+    an array that is not symmetric, since eigvalsh reads one triangle only;
     RuntimeError means the eigensolver failed to converge.
     """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     n = _square_size(mat, "spectrum")
-    if n > SPECTRUM_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
+    _check_cap("signing", n, SPECTRUM_SIZE_CAP)
     if not isinstance(M, SignedAdjacency) and not np.array_equal(mat, mat.T, equal_nan=True):
         raise ValueError("spectrum requires a symmetric matrix")
     if n == 0:
@@ -474,8 +473,7 @@ def signing_search(
     breaking ties toward the lexicographically smallest sign vector (+1
     before -1 on the sorted edge list), so results do not depend on jobs.
     """
-    if X.n > SEARCH_SIZE_CAP:
-        raise ValueError(f"graph has {X.n} vertices, search cap is {SEARCH_SIZE_CAP}")
+    _check_cap("graph", X.n, SEARCH_SIZE_CAP)
     if not exhaustive and budget < 1:
         raise ValueError(f"evaluation budget must be at least 1, got {budget}")
     if not exhaustive and restarts < 1:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleydeg.cli import _build_parser, main
+from cayleydeg.cli import _build_parser, _out_path, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -172,10 +172,12 @@ def test_scan_output_under_a_file_fails_before_any_instance(tmp_path, monkeypatc
 
 
 def test_scan_without_targets_errors(capsys):
-    assert main(["scan"]) == 2
-    assert capsys.readouterr().err == (
-        "error: nothing to scan: pass --abelian-orders, --groups, or --graph\n"
-    )
+    # an empty --abelian-orders selects nothing, like no selector at all
+    for argv in (["scan"], ["scan", "--abelian-orders", ""]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: nothing to scan: pass --abelian-orders, --groups, or --graph\n"
+        )
 
 
 @pytest.mark.parametrize("selectors", [
@@ -334,6 +336,49 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "rel.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, written",
+    [
+        (["build", "--group", "z6", "--gens", "1,5", "--out", "o/g.json"], "o/g.json"),
+        (["witness", "--group", "z6", "--gens", "1,5,3", "--subset", "0,1,2,4",
+          "--out", "o/w.json"], "o/w.json"),
+        (["scan", "--groups", "q8", "--out", "o/scan.csv"], "o/scan.csv"),
+        (["scan", "--graph", "petersen", "--violations-dir", "o/v"], "o/v/violation_0000.json"),
+        (["counterexample", "--n", "3", "--out", "o/ce.json"], "o/ce.json"),
+        (["signing", "huang", "--n", "2", "--out", "o/h.json"], "o/h.json"),
+        (["signing", "spectrum", "--in", "FILE", "--out", "o/sp.csv"], "o/sp.csv"),
+        (["signing", "search", "--graph", "q2", "--exhaustive", "--out", "o/s.json"], "o/s.json"),
+    ],
+    ids=["build", "witness", "scan-out", "scan-violations-dir", "counterexample",
+         "signing-huang", "signing-spectrum", "signing-search"],
+)
+def test_every_output_option_resolves_under_the_out_dir(tmp_path, monkeypatch, capsys,
+                                                        command, written):
+    signing = tmp_path / "in.json"
+    signing.write_text('{"n":2,"signs":[[0,1,1]]}')
+    base, cwd = tmp_path / "base", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("CAYLEYDEG_OUT_DIR", str(base))
+    rc = main([str(signing) if arg == "FILE" else arg for arg in command])
+    assert rc == (1 if "--violations-dir" in command else 0)
+    assert (base / written).is_file()
+    assert not any(cwd.iterdir())
+
+
+def test_every_output_option_is_typed_as_an_output_path():
+    # a new subcommand's output option must resolve under CAYLEYDEG_OUT_DIR too
+    outputs = [
+        (path, action)
+        for path, leaf in _leaf_parsers(_build_parser())
+        for action in leaf._actions
+        if action.dest in ("out", "violations_dir")
+    ]
+    assert len(outputs) == 8
+    for path, action in outputs:
+        assert action.type is _out_path, (path, action.dest)
+
+
 def test_jobs_flag_accepted(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -465,10 +510,17 @@ def test_input_errors_exit_2_with_their_message(tmp_path, capsys, command, text,
 
 def test_scan_single_order_means_from_2(capsys):
     assert main(["scan", "--abelian-orders", "4"]) == 0
-    rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert len(rows) == 8
+    single = capsys.readouterr().out
+    assert len(single.strip().split("\n")[1:]) == 8
     assert main(["scan", "--abelian-orders", "2..4"]) == 0
-    assert capsys.readouterr().out.strip().split("\n")[1:] == rows
+    assert capsys.readouterr().out == single
+
+
+@pytest.mark.parametrize("spec", ["2..x", "x", "3..3..4", "..5", "5.."])
+def test_malformed_order_ranges_are_usage_errors(capsys, spec):
+    assert main(["scan", "--abelian-orders", spec]) == 2
+    err = capsys.readouterr().err
+    assert "argument --abelian-orders: expected LO..HI or HI" in err and spec in err
 
 
 def test_deeply_nested_group_spec_exits_2_without_a_traceback(capsys):

@@ -1,9 +1,12 @@
 """Input errors raised by the library functions themselves, each with its
 exact message (the CLI's own input errors are tested in test_cli.py)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cayleydeg.errors import BudgetExceeded
 from cayleydeg.extremal import branch_and_bound, heuristic_search, min_max_degree
 from cayleydeg.graphs import Graph, builtin_graph, import_graph
 from cayleydeg.groups import element_order, make_generating_set, make_group
@@ -21,6 +24,7 @@ CASES = [
     (lambda: branch_and_bound(C5, 6, 0), "subset size 6 out of range 0..5"),
     (lambda: branch_and_bound(C5, 1, -1), "target degree must be nonnegative, got -1"),
     (lambda: Graph(-1, []), "vertex count must be nonnegative"),
+    (lambda: Graph(10**12, []), "graph has 1000000000000 vertices, above the cap 10000"),
     (lambda: builtin_graph("cycle:x"), "bad graph size in 'cycle:x'"),
     (lambda: import_graph("{}", "png"), "unknown graph format 'png'"),
     (lambda: Q8.decode(1), "decode is only defined for cyclic-product groups"),
@@ -35,8 +39,8 @@ CASES = [
         lambda: make_lift(D4, make_generating_set(D4, [1, 3, 4])),
         "lifts are defined for cyclic-product groups only",
     ),
-    (lambda: spectrum(np.zeros((2049, 2049))), "matrix size 2049 exceeds the spectrum cap 2048"),
-    (lambda: signing_search(Graph(513, [])), "graph has 513 vertices, search cap is 512"),
+    (lambda: spectrum(np.zeros((2049, 2049))), "signing has 2049 vertices, above the cap 2048"),
+    (lambda: signing_search(Graph(513, [])), "graph has 513 vertices, above the cap 512"),
     (lambda: signing_search(C5, restarts=0), "restarts must be at least 1, got 0"),
     (lambda: signing_search(C5, budget=0), "evaluation budget must be at least 1, got 0"),
     (lambda: spectrum(np.array([[0, 2], [1, 0]])), "spectrum requires a symmetric matrix"),
@@ -56,6 +60,21 @@ def test_library_input_errors_have_their_message(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+    # a size cap is a budget, with the wording of the file readers
+    assert isinstance(err.value, BudgetExceeded) == ("above the cap" in message)
+
+
+def test_a_huge_graph_is_refused_before_its_masks_are_allocated():
+    for call in [lambda: Graph(10**12, []),
+                 lambda: import_graph('{"n": 1000000000000, "edges": []}')]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="above the cap 10000"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_empty_spectrum_and_a_group_passed_as_its_own_spec():
