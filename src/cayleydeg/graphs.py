@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _BUILTIN_VERTEX_CAP = 1 << 12  # the order of q12, the largest catalog cube
+# the most vertices VertexSet.from_members allocates for, also the witness
+# layer's cap on cube and lift points (witness.DEFAULT_LIFT_CAP)
+_VERTEX_SET_CAP = 1 << 22
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +57,7 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
+        _check_cap("vertex set", n, _VERTEX_SET_CAP)
         # digit n - v is vertex v; one linear parse, not a mask copy per member
         digits = bytearray(b"0") * (max(n, 0) + 1)
         for v in members:

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import BudgetExceeded, InvariantBreach
-from .graphs import _as_vertex_set
+from .graphs import _VERTEX_SET_CAP, _as_vertex_set, _check_cap
 from .groups import FiniteGroup, GeneratingSet, _check_moduli, make_generating_set, make_group
 
 __all__ = [
@@ -65,7 +65,10 @@ __all__ = [
     "DEFAULT_LIFT_CAP",
 ]
 
-DEFAULT_LIFT_CAP = 1 << 22
+# one cap for the lift's m^d points, the witness cube's 2^d corners and the
+# points of a product of cycles, which is also the most vertices a listed
+# subset may range over
+DEFAULT_LIFT_CAP = _VERTEX_SET_CAP
 
 
 def _membership_array(n: int, U) -> np.ndarray:
@@ -74,16 +77,25 @@ def _membership_array(n: int, U) -> np.ndarray:
     return np.unpackbits(data, count=n, bitorder="little").view(np.int8)
 
 
+def _grid_indicator(moduli: Sequence[int], U) -> tuple[tuple[int, ...], np.ndarray]:
+    """Validated moduli and the int8 indicator of U over their product,
+    which is refused above DEFAULT_LIFT_CAP points before any allocation."""
+    moduli = _check_moduli(moduli)
+    size = math.prod(moduli)
+    _check_cap("product of cycles", size, DEFAULT_LIFT_CAP)
+    return moduli, _membership_array(size, U)
+
+
 def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
     """|U_r n U| for every shift r, as a flat array in mixed-radix order.
 
     U_r is the set of r + sum_{i in T} e_i over all subsets T of the
     coordinate directions.  Since distinct T give distinct offsets (every
     modulus is at least 2), the count is a d-fold box sum, computed one axis
-    at a time.
+    at a time.  A product of moduli above DEFAULT_LIFT_CAP raises
+    BudgetExceeded before U is read, here and in cover_shift and cube_witness.
     """
-    moduli = _check_moduli(moduli)
-    return _cover_counts(moduli, _membership_array(math.prod(moduli), U))
+    return _cover_counts(*_grid_indicator(moduli, U))
 
 
 def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
@@ -102,8 +114,7 @@ def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
     returned count then exceeds 2^(d-1), because the covering identity
     sum_r |U_r n U| = 2^d |U| forces the maximum above the average.
     """
-    moduli = _check_moduli(moduli)
-    return _cover_shift(moduli, _membership_array(math.prod(moduli), U))
+    return _cover_shift(*_grid_indicator(moduli, U))
 
 
 def _cover_shift(moduli: tuple[int, ...], ind: np.ndarray) -> tuple[int, int]:
@@ -172,8 +183,7 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     more-than-half occupancy of the cube guarantees k^2 >= d; violating that
     is treated as an internal invariant breach.
     """
-    moduli = _check_moduli(moduli)
-    ind = _membership_array(math.prod(moduli), U)
+    moduli, ind = _grid_indicator(moduli, U)
     r, cube_points = _cover_shift(moduli, ind)
     # verts[T] is the mixed-radix index of r + e_T for every subset-mask T
     # (bit i of T is coordinate i), built by doubling so no 2^d x d table is

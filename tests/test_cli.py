@@ -614,6 +614,8 @@ _HOSTILE = [
     # controls: the same limit admits real work
     pytest.param(["counterexample", "--n", "3"], None, 0, id="control-counterexample-3"),
     pytest.param(["counterexample", "--n", "1023"], None, 0, id="control-counterexample-1023"),
+    # a pool of two workers, whose import is deferred until it starts
+    pytest.param(["--jobs", "2", "scan", "--abelian-orders", "8"], None, 0, id="control-scan-jobs-2"),
 ]
 
 
@@ -645,3 +647,16 @@ def test_hostile_inputs_are_refused_under_a_256_mb_address_space(tmp_path, comma
         assert f"\ninstance error: {command[-1]}: " in proc.stderr
     else:
         assert proc.stderr.startswith("error:"), proc.stderr
+
+
+def test_importing_the_package_loads_no_process_pool():
+    code = (
+        "import sys, cayleydeg, cayleydeg.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -771,10 +771,13 @@ class _InlineExecutor:
 def test_parallel_map_starts_at_most_one_worker_per_item_and_cpu(
     monkeypatch, jobs, count, cpus, workers
 ):
+    import concurrent.futures
+
     from cayleydeg import _parallel
 
     _InlineExecutor.asked = []
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _InlineExecutor)
+    # parallel_map imports the executor when its pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
     assert _parallel.parallel_map(abs, range(-count, 0), jobs=jobs) == list(range(count, 0, -1))
     assert _InlineExecutor.asked == [workers]

@@ -843,3 +843,56 @@ def test_matrices_that_could_overflow_int64_go_to_lapack(monkeypatch):
         top = float(mat[0, 1])
         assert np.allclose(spec.eigenvalues, [-top, top], rtol=1e-12)
     assert eigvalsh.calls == 2
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huang_signing_at_the_cap_holds_one_matrix():
+    # the builder hands its matrix over without a copy, and the symmetry
+    # check compares tiles, so the peak is the 16 MB matrix and little more
+    n = 1 << HUANG_DIMENSION_CAP
+    assert _traced_peak(lambda: huang_signing(HUANG_DIMENSION_CAP)) < 1.1 * n * n
+
+
+def test_verify_signing_walk_arrays_stay_small():
+    M = huang_signing(10)
+    assert _traced_peak(lambda: verify_signing(M, 10)) < 1 << 20
+
+
+def test_spectrum_of_a_plain_array_checks_symmetry_in_tiles():
+    M = huang_signing(11)
+    signed = _traced_peak(lambda: spectrum(M))
+    assert _traced_peak(lambda: spectrum(M.matrix)) <= signed + 200_000
+
+
+@pytest.mark.parametrize("n", [1, 2, signing._SYMMETRY_TILE - 1, signing._SYMMETRY_TILE,
+                               signing._SYMMETRY_TILE + 1, 2 * signing._SYMMETRY_TILE + 3])
+def test_tiled_symmetry_check_matches_the_transpose(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(-1, 2, size=(n, n))
+    sym = np.triu(a, 1) + np.triu(a, 1).T
+    assert signing._is_symmetric(sym)
+    cells = {(0, n - 1), (n - 1, 0), (n // 2, n // 3)}
+    cells |= {(int(u), int(v)) for u, v in rng.integers(0, n, size=(5, 2))}
+    for u, v in cells:
+        if u == v:
+            continue
+        bad = sym.copy()
+        bad[u, v] = 0 if sym[u, v] else 1
+        assert not signing._is_symmetric(bad)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            SignedAdjacency(bad)
+        with pytest.raises(ValueError, match="requires a symmetric matrix"):
+            spectrum(bad.astype(np.float64))
+    floats = sym.astype(np.float64)
+    floats[n - 1, 0] = np.nan
+    assert signing._is_symmetric(floats) == (n == 1)
+    floats[0, n - 1] = np.nan  # nan equals nan, as in np.array_equal(..., equal_nan=True)
+    assert signing._is_symmetric(floats)

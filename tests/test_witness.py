@@ -14,6 +14,7 @@ from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import Graph, VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import FiniteGroup, make_generating_set, make_group
 from cayleydeg.witness import (
+    DEFAULT_LIFT_CAP,
     WitnessReport,
     abelian_witness,
     cover_counts,
@@ -543,6 +544,31 @@ def test_abelian_witness_refuses_before_any_work():
     message = "^the generating set does not generate; fibers would be unequal$"
     with pytest.raises(ValueError, match=message):
         abelian_witness(H, T, range(4))
+
+
+def test_cube_inputs_are_refused_before_allocation():
+    # 2^30 points would take a 1 GiB indicator and an 8 GiB int64 count array
+    assert DEFAULT_LIFT_CAP == 1 << 22
+    message = r"^product of cycles has 1073741824 vertices, above the cap 4194304$"
+    for fn in (cover_counts, cover_shift, cube_witness):
+        for U in ([0], VertexSet(1 << 30, 0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded, match=message):
+                    fn([2] * 30, U)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"^vertex set has 4194305 vertices, above the cap 4194304$"):
+            VertexSet.from_members(DEFAULT_LIFT_CAP + 1, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert VertexSet.from_members(DEFAULT_LIFT_CAP, [0]).mask == 1
 
 
 def test_numpy_integer_members_match_their_list():
