@@ -22,8 +22,8 @@ from pathlib import Path
 from .errors import InvariantBreach, load_json
 from .extremal import (
     DEFAULT_SUBSET_BUDGET,
-    abelian_scan_items,
     graph_scan_items,
+    iter_abelian_moduli,
     named_group_scan_items,
     scan,
 )
@@ -160,9 +160,8 @@ def cmd_build(args) -> int:
     print(f"generating set size {S.size} (d={S.d}, t={S.t})")
     print(f"cayley graph: {X.graph.n} vertices, {X.graph.edge_count} edges, "
           f"{S.size}-regular, {len(comps)} component(s)")
-    data = export_graph(X.graph, args.format).decode()
     if args.out is not None or args.print_graph:
-        _write_or_print(args.out, data)
+        _write_or_print(args.out, export_graph(X.graph, args.format).decode())
     return 0
 
 
@@ -178,15 +177,15 @@ def cmd_witness(args) -> int:
 def cmd_scan(args) -> int:
     if not (args.abelian_orders or args.groups or args.graph):
         raise ValueError("nothing to scan: pass --abelian-orders, --groups, or --graph")
-    items: list[tuple] = []
+    # every group is selected, built and checked against its caps before
+    # any item is built
+    specs: list = []
     if args.abelian_orders:
         lo, hi = args.abelian_orders
-        items += abelian_scan_items(hi, min_order=lo, max_size=args.max_set_size)
+        specs += iter_abelian_moduli(hi, min_order=lo)
     if args.groups:
-        items += named_group_scan_items(
-            [g.strip() for g in args.groups.split(",") if g.strip()],
-            max_size=args.max_set_size,
-        )
+        specs += [g.strip() for g in args.groups.split(",") if g.strip()]
+    items = named_group_scan_items(specs, max_size=args.max_set_size)
     items += graph_scan_items(args.graph or [])
     if not items:
         raise ValueError("nothing to scan: the selectors match no instance "

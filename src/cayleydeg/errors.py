@@ -1,8 +1,8 @@
-"""Shared exception types, and the one JSON parser of input text.
+"""Shared exception types, the one size-cap check, and the one JSON parser.
 
-Input and precondition problems raise ValueError (or the BudgetExceeded
-subclass when a configured cap is the reason); load_json turns every way
-JSON input can fail to parse into a ValueError.  InvariantBreach marks a
+Input and precondition problems raise ValueError; check_cap raises its
+BudgetExceeded subclass for a size above a cap, and load_json turns every
+way JSON input can fail to parse into a ValueError.  InvariantBreach marks a
 condition that the underlying mathematics guarantees can never happen;
 reaching one means the library itself is wrong, and the CLI turns it into
 its own exit code.
@@ -21,6 +21,13 @@ class BudgetExceeded(ValueError):
 
 class InvariantBreach(RuntimeError):
     """A mathematically guaranteed invariant failed; this is a library bug."""
+
+
+def check_cap(kind: str, n: int, cap: int, units: str = "vertices") -> None:
+    """BudgetExceeded "<kind> has <n> <units>, above the cap <cap>" if n > cap;
+    callers check before they allocate or walk anything that grows with n."""
+    if n > cap:
+        raise BudgetExceeded(f"{kind} has {n} {units}, above the cap {cap}")
 
 
 def load_json(text: str, kind: str):

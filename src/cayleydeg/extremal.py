@@ -46,9 +46,10 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, check_cap
 from .graphs import Graph, VertexSet, build_cayley, builtin_graph, induced_max_degree
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GeneratingSet,
     enumerate_symmetric_generating_sets,
@@ -484,16 +485,24 @@ class ScanSummary:
 
 def iter_abelian_moduli(max_order: int, min_order: int = 2) -> list[tuple[int, ...]]:
     """Every cyclic-product presentation (moduli >= 2, non-increasing) with
-    order in [min_order, max_order], ordered by order then lexicographically."""
+    order in [min_order, max_order], ordered by order then lexicographically.
+    A max_order above MAX_GROUP_ORDER raises BudgetExceeded before any is listed."""
+    check_cap(f"z{max_order}", max_order, MAX_GROUP_ORDER, "elements")
+
+    def divisors(n: int) -> list[int]:  # those >= 2, ascending
+        low = [m for m in range(2, math.isqrt(n) + 1) if n % m == 0]
+        return low + [n // m for m in reversed(low) if m * m != n] + [n]
 
     def presentations(left: int, cap: int, acc: tuple[int, ...]):
         # acc, then non-increasing moduli <= cap with product left; the next
         # modulus ascends, so the order is lexicographic (none prefixes another)
         if left == 1:
             yield acc
-        for m in range(2, min(left, cap) + 1):
-            if left % m == 0:
-                yield from presentations(left // m, m, acc + (m,))
+            return
+        for m in divisors(left):
+            if m > cap:
+                break
+            yield from presentations(left // m, m, acc + (m,))
 
     return [p for order in range(max(2, min_order), max_order + 1)
             for p in presentations(order, order, ())]
@@ -513,14 +522,12 @@ def named_group_scan_items(specs: Sequence, max_size: int | None = None) -> list
 
     A Cayley item is ("cayley", G, S) with G a FiniteGroup and S the
     GeneratingSet that enumerate_symmetric_generating_sets built, valid by
-    construction; a catalog graph item is ("graph", name).
+    construction; a catalog graph item is ("graph", name).  Every group is
+    built and its enumeration cap checked before any item is.
     """
-    items = []
-    for spec in specs:
-        G = make_group(spec)
-        for S in enumerate_symmetric_generating_sets(G, max_size=max_size):
-            items.append(("cayley", G, S))
-    return items
+    walks = [(G, enumerate_symmetric_generating_sets(G, max_size=max_size))
+             for G in map(make_group, specs)]
+    return [("cayley", G, S) for G, walk in walks for S in walk]
 
 
 def graph_scan_items(names: Sequence[str]) -> list[tuple]:

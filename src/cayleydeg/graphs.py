@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import BudgetExceeded, load_json
+from .errors import check_cap, load_json
 from .groups import MAX_GROUP_ORDER, FiniteGroup, GeneratingSet
 
 __all__ = [
@@ -34,9 +34,10 @@ __all__ = [
     "builtin_graph",
     "export_graph",
     "import_graph",
+    "CUBE_DIMENSION_CAP",
 ]
 
-_BUILTIN_VERTEX_CAP = 1 << 12  # the order of q12, the largest catalog cube
+CUBE_DIMENSION_CAP = 12  # of qN and Huang signings; 2^12 vertices cap the catalog
 # the most vertices VertexSet.from_members allocates for, also the witness
 # layer's cap on cube and lift points (witness.DEFAULT_LIFT_CAP)
 _VERTEX_SET_CAP = 1 << 22
@@ -57,7 +58,7 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        _check_cap("vertex set", n, _VERTEX_SET_CAP)
+        check_cap("vertex set", n, _VERTEX_SET_CAP)
         # digit n - v is vertex v; one linear parse, not a mask copy per member
         digits = bytearray(b"0") * (max(n, 0) + 1)
         for v in members:
@@ -69,6 +70,7 @@ class VertexSet:
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
+        check_cap("vertex set", n, _VERTEX_SET_CAP)
         return cls(n, (1 << n) - 1)
 
     @property
@@ -129,7 +131,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        _check_cap("graph", n, MAX_GROUP_ORDER)
+        check_cap("graph", n, MAX_GROUP_ORDER)
         masks = [0] * n
         count = 0
         for u, v in edges:
@@ -282,7 +284,7 @@ def counterexample_graph(n: int) -> CounterexampleInstance:
     if n < 1:
         raise ValueError(f"counterexample parameter must be >= 1, got {n}")
     size = 4 * n + 2
-    _check_cap("counterexample graph", size, _BUILTIN_VERTEX_CAP)
+    check_cap("counterexample graph", size, 1 << CUBE_DIMENSION_CAP)
     a = (1 << (n + 1)) - 1
     b = ((1 << n) - 1) << (n + 1)
     c = a << (2 * n + 1)
@@ -327,9 +329,9 @@ def counterexample_checks(inst: CounterexampleInstance) -> dict[str, bool]:
 
 def builtin_graph(name: str) -> Graph:
     """Catalog graphs: ``petersen``, ``cycle:m``, ``complete:m``, and the
-    hypercube ``qN`` for 1 <= N <= 12.  Cycles and complete graphs above
-    4096 vertices, the order of q12, raise BudgetExceeded before any edge
-    is listed.
+    hypercube ``qN`` for 1 <= N <= CUBE_DIMENSION_CAP.  A larger N, and cycles
+    and complete graphs above 2^CUBE_DIMENSION_CAP vertices, the order of the
+    largest qN, raise BudgetExceeded before any edge is listed.
 
     The Petersen graph uses the fixed ordering with outer 5-cycle 0..4,
     spokes i -- i+5, and inner edges (i+5) -- ((i+2) mod 5 + 5).  The
@@ -344,8 +346,9 @@ def builtin_graph(name: str) -> Graph:
         return Graph(10, edges)
     if s[:1] == "q" and s[1:].isdigit():
         dim = int(s[1:])
-        if not 1 <= dim <= 12:
-            raise ValueError(f"hypercube dimension {dim} out of range 1..12")
+        if dim < 1:
+            raise ValueError(f"hypercube dimension must be >= 1, got {dim}")
+        check_cap("hypercube", dim, CUBE_DIMENSION_CAP, "dimensions")
         size = 1 << dim
         edges = [(u, u | 1 << i) for u in range(size) for i in range(dim) if not u >> i & 1]
         return Graph(size, edges)
@@ -355,7 +358,7 @@ def builtin_graph(name: str) -> Graph:
             m = int(arg)
         except ValueError:
             raise ValueError(f"bad graph size in {name!r}") from None
-        _check_cap("graph", m, _BUILTIN_VERTEX_CAP)
+        check_cap("graph", m, 1 << CUBE_DIMENSION_CAP)
         if head == "cycle":
             if m < 3:
                 raise ValueError(f"cycle needs at least 3 vertices, got {m}")
@@ -387,24 +390,19 @@ def export_graph(X: Graph, format: str = "json") -> bytes:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _check_cap(kind: str, n: int, cap: int | None) -> None:
-    if cap is not None and n > cap:
-        raise BudgetExceeded(f"{kind} has {n} vertices, above the cap {cap}")
-
-
 def _json_records(
-    text: str, kind: str, key: str, width: int, cap: int | None
+    text: str, kind: str, key: str, width: int, cap: int
 ) -> tuple[int, list[list[int]]]:
     """N and the entries of ``{"n": N, key: [[i, ...], ...]}``, each entry a
     list of `width` ints (not bools); ranges are left to the caller.  N above
-    `cap` (unless it is None) is refused before the caller allocates for it."""
+    `cap` is refused before the caller allocates for it."""
     obj = load_json(text, kind)
     if not isinstance(obj, dict) or "n" not in obj or key not in obj:
         raise ValueError(f"{kind} JSON must be an object with 'n' and '{key}'")
     n, entries = obj["n"], obj[key]
     if type(n) is not int or n < 0:
         raise ValueError(f"bad vertex count {n!r}")
-    _check_cap(kind, n, cap)
+    check_cap(kind, n, cap)
     if not isinstance(entries, list):
         raise ValueError(f"{kind} JSON '{key}' must be a list, got {type(entries).__name__}")
     for e in entries:
@@ -417,9 +415,9 @@ _DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)$")
 _DOT_VERT = re.compile(r"^(\d+)$")
 
 
-def import_graph(data: bytes | str, format: str = "json", cap: int | None = None) -> Graph:
+def import_graph(data: bytes | str, format: str = "json", cap: int = MAX_GROUP_ORDER) -> Graph:
     """Parse a graph from JSON or DOT produced by export_graph.  A graph over
-    `cap` vertices (unless it is None) is refused before it is built."""
+    `cap` vertices is refused before it is built."""
     text = data.decode() if isinstance(data, bytes) else data
     fmt = format.lower()
     if fmt == "json":
@@ -448,6 +446,6 @@ def import_graph(data: bytes | str, format: str = "json", cap: int | None = None
                 continue
             raise ValueError(f"malformed DOT statement {stmt!r}")
         n = max(verts) + 1 if verts else 0
-        _check_cap("graph", n, cap)
+        check_cap("graph", n, cap)
         return Graph(n, edges)
     raise ValueError(f"unknown graph format {format!r}")

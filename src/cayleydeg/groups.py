@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, load_json
+from .errors import check_cap, load_json
 
 __all__ = [
     "FiniteGroup",
@@ -45,6 +45,9 @@ MAX_GROUP_ORDER = 10_000
 ENUMERATION_UNIT_CAP = 24
 # validation builds several n x n intp arrays; 2^22 entries admits n <= 2048
 _TABLE_ENTRY_CAP = 1 << 22
+# |S| |G| translation entries: the largest power of two at which
+# `cayleydeg build --print-graph` fits in 256 MB of address space
+_TRANSLATION_ENTRY_CAP = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,26 +226,15 @@ def _check_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
 def _cyclic_product(moduli: Sequence[int]) -> FiniteGroup:
     moduli = _check_moduli(moduli)
     order = math.prod(moduli)
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {order} exceeds the supported maximum {MAX_GROUP_ORDER}")
     name = "z" + "x".join(str(m) for m in moduli)
+    check_cap(name, order, MAX_GROUP_ORDER, "elements")
     return FiniteGroup(order=order, name=name, moduli=moduli)
-
-
-def _check_table_order(n: int) -> None:
-    """Refuse a table group of order n before its table is built or read."""
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
-    if n * n > _TABLE_ENTRY_CAP:
-        raise BudgetExceeded(
-            f"multiplication table has {n}^2 = {n * n} entries, above the cap {_TABLE_ENTRY_CAP}"
-        )
 
 
 def _table_group(table: list[list[int]], name: str) -> FiniteGroup:
     if not isinstance(table, list):
         raise ValueError(f"multiplication table must be a list of rows, got {type(table).__name__}")
-    _check_table_order(len(table))
+    check_cap("multiplication table", len(table) ** 2, _TABLE_ENTRY_CAP, "entries")
     t = _validate_table(table)
     return FiniteGroup(order=len(t), name=name, table=t)
 
@@ -346,7 +338,7 @@ def _named_group(family: str, n: int) -> FiniteGroup:
     if family == "dihedral":
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-        _check_table_order(2 * n)
+        check_cap("multiplication table", (2 * n) ** 2, _TABLE_ENTRY_CAP, "entries")
         return _table_group(_dihedral_table(n), name=f"dihedral:{n}")
     kind = {"sym": "symmetric", "alt": "alternating"}[family]
     if not 1 <= n <= 5:
@@ -429,7 +421,8 @@ def _generates(rows: list[list[int]]) -> bool:
 def make_generating_set(
     G: FiniteGroup, elems: Iterable[int], allow_nongenerating: bool = False
 ) -> GeneratingSet:
-    """Validate a symmetric generating set and compute its canonical split."""
+    """Validate a symmetric generating set and compute its canonical split;
+    |S| |G| above _TRANSLATION_ENTRY_CAP raises BudgetExceeded before any row."""
     elements = frozenset(int(x) for x in elems)
     if not elements:
         raise ValueError("generating set is empty")
@@ -445,6 +438,7 @@ def make_generating_set(
                 f"set is not symmetric: inverse of {x} is {inv[x]}, which is missing"
             )
 
+    check_cap("translation table", len(elements) * G.order, _TRANSLATION_ENTRY_CAP, "entries")
     members = sorted(elements)
     generates = _generates(G.translations(members).tolist())
     if not generates and not allow_nongenerating:
@@ -468,7 +462,7 @@ def enumerate_symmetric_generating_sets(
     and subsets are visited in increasing binary-counter order over that unit
     list, which makes the output order deterministic.  The walk visits
     2^u - 1 subsets for u units; more than ENUMERATION_UNIT_CAP units raise
-    BudgetExceeded before any subset is visited.
+    BudgetExceeded at the call, before the walk starts.
     """
     inv = G.inverses.tolist()
     units: list[tuple[int, ...]] = [(x,) for x in range(1, G.order) if inv[x] == x]
@@ -476,27 +470,26 @@ def enumerate_symmetric_generating_sets(
     t, low = len(units), (1 << len(units)) - 1
     units += [(x, inv[x]) for x in range(1, G.order) if x < inv[x]]
     u = len(units)
-    if u > ENUMERATION_UNIT_CAP:
-        raise BudgetExceeded(
-            f"{G.name} has {u} involutions and inverse pairs; walking their "
-            f"2^{u} - 1 subsets exceeds the enumeration cap of {ENUMERATION_UNIT_CAP} units"
-        )
-    rows = G.translations(range(G.order)).tolist()
+    check_cap(G.name, u, ENUMERATION_UNIT_CAP, "involutions and inverse pairs")
     limit = max_size if max_size is not None else G.order
 
-    for mask in range(1, 1 << u):
-        if (mask & low).bit_count() + 2 * (mask >> t).bit_count() > limit:
-            continue
-        chosen = []
-        m = mask
-        while m:  # one step per chosen unit, lowest bit first
-            bit = m & -m
-            chosen.append(units[bit.bit_length() - 1])
-            m ^= bit
-        if not _generates([rows[x] for unit in chosen for x in unit]):
-            continue
-        yield GeneratingSet(
-            order2=tuple(unit[0] for unit in chosen if len(unit) == 1),
-            pairs=tuple(unit for unit in chosen if len(unit) == 2),
-            generates=True,
-        )
+    def walk() -> Iterator[GeneratingSet]:
+        rows = G.translations(range(G.order)).tolist()
+        for mask in range(1, 1 << u):
+            if (mask & low).bit_count() + 2 * (mask >> t).bit_count() > limit:
+                continue
+            chosen = []
+            m = mask
+            while m:  # one step per chosen unit, lowest bit first
+                bit = m & -m
+                chosen.append(units[bit.bit_length() - 1])
+                m ^= bit
+            if not _generates([rows[x] for unit in chosen for x in unit]):
+                continue
+            yield GeneratingSet(
+                order2=tuple(unit[0] for unit in chosen if len(unit) == 1),
+                pairs=tuple(unit for unit in chosen if len(unit) == 2),
+                generates=True,
+            )
+
+    return walk()

@@ -83,8 +83,8 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import BudgetExceeded, InvariantBreach
-from .graphs import Graph, _check_cap, _json_records
+from .errors import InvariantBreach, check_cap
+from .graphs import CUBE_DIMENSION_CAP as HUANG_DIMENSION_CAP, Graph, _json_records
 
 __all__ = [
     "SignedAdjacency",
@@ -103,11 +103,9 @@ __all__ = [
     "EXHAUSTIVE_EDGE_CAP",
 ]
 
-HUANG_DIMENSION_CAP = 12
 SPECTRUM_SIZE_CAP = 2048
 SEARCH_SIZE_CAP = 512
 EXHAUSTIVE_EDGE_CAP = 20
-_SIGNING_FILE_CAP = 1 << HUANG_DIMENSION_CAP
 _WALK_BLOCK = 1 << 13
 _SYMMETRY_TILE = 128  # side of the square tiles _is_symmetric compares
 _INT64_MAX = (1 << 63) - 1
@@ -202,8 +200,7 @@ def huang_signing(n: int) -> SignedAdjacency:
     """
     if n < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {n}")
-    if n > HUANG_DIMENSION_CAP:
-        raise BudgetExceeded(f"hypercube dimension {n} exceeds the cap {HUANG_DIMENSION_CAP}")
+    check_cap("hypercube", n, HUANG_DIMENSION_CAP, "dimensions")
     u = np.arange(1 << n)
     m = np.zeros((u.size, u.size), dtype=np.int8)
     parity = np.zeros_like(u)  # popcount(u >> (i + 1)) mod 2
@@ -331,7 +328,7 @@ def spectrum(M: SignedAdjacency | np.ndarray) -> Spectrum:
     """
     mat = M.matrix if isinstance(M, SignedAdjacency) else np.asarray(M)
     n = _square_size(mat, "spectrum")
-    _check_cap("signing", n, SPECTRUM_SIZE_CAP)
+    check_cap("signing", n, SPECTRUM_SIZE_CAP)
     if not isinstance(M, SignedAdjacency) and not _is_symmetric(mat):
         raise ValueError("spectrum requires a symmetric matrix")
     if n == 0:
@@ -508,7 +505,7 @@ def signing_search(
     breaking ties toward the lexicographically smallest sign vector (+1
     before -1 on the sorted edge list), so results do not depend on jobs.
     """
-    _check_cap("graph", X.n, SEARCH_SIZE_CAP)
+    check_cap("graph", X.n, SEARCH_SIZE_CAP)
     if not exhaustive and budget < 1:
         raise ValueError(f"evaluation budget must be at least 1, got {budget}")
     if not exhaustive and restarts < 1:
@@ -520,10 +517,7 @@ def signing_search(
         return SearchResult(SignedAdjacency._adopt(zero), 0.0, 0, "exhaustive")
 
     if exhaustive:
-        if ne > EXHAUSTIVE_EDGE_CAP:
-            raise BudgetExceeded(
-                f"{ne} edges exceed the exhaustive cap {EXHAUSTIVE_EDGE_CAP}"
-            )
+        check_cap("graph", ne, EXHAUSTIVE_EDGE_CAP, "edges")
         # bits runs in increasing order; going from bits - 1 to bits flips
         # the lowest set bit of bits and every bit below it
         m = _signing_from_bits(X.n, edges, 0).astype(np.float64)
@@ -568,7 +562,7 @@ def signing_from_json(text: str) -> SignedAdjacency:
     A vertex count above 2^HUANG_DIMENSION_CAP, the size of the largest
     signing that huang_signing writes and verify_signing checks, is refused
     before the matrix is allocated; spectrum applies its own smaller cap."""
-    n, signs = _json_records(text, "signing", "signs", 3, _SIGNING_FILE_CAP)
+    n, signs = _json_records(text, "signing", "signs", 3, 1 << HUANG_DIMENSION_CAP)
     m = np.zeros((n, n), dtype=np.int8)
     for u, v, s in signs:
         if not 0 <= u < n or not 0 <= v < n or u == v:

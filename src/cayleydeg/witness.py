@@ -49,8 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import BudgetExceeded, InvariantBreach
-from .graphs import _VERTEX_SET_CAP, _as_vertex_set, _check_cap
+from .errors import InvariantBreach, check_cap
+from .graphs import _VERTEX_SET_CAP, _as_vertex_set
 from .groups import FiniteGroup, GeneratingSet, _check_moduli, make_generating_set, make_group
 
 __all__ = [
@@ -82,12 +82,12 @@ def _grid_indicator(moduli: Sequence[int], U) -> tuple[tuple[int, ...], np.ndarr
     which is refused above DEFAULT_LIFT_CAP points before any allocation."""
     moduli = _check_moduli(moduli)
     size = math.prod(moduli)
-    _check_cap("product of cycles", size, DEFAULT_LIFT_CAP)
+    check_cap("product of cycles", size, DEFAULT_LIFT_CAP)
     return moduli, _membership_array(size, U)
 
 
 def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
-    """|U_r n U| for every shift r, as a flat array in mixed-radix order.
+    """|U_r n U| for every shift r, as a flat int32 array in mixed-radix order.
 
     U_r is the set of r + sum_{i in T} e_i over all subsets T of the
     coordinate directions.  Since distinct T give distinct offsets (every
@@ -99,8 +99,9 @@ def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
 
 
 def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
-    """cover_counts for validated moduli and a flat int8 membership array."""
-    acc = ind.astype(np.int64).reshape(moduli)
+    """cover_counts for validated moduli and a flat int8 membership array;
+    int32, since no count exceeds 2^d <= DEFAULT_LIFT_CAP."""
+    acc = ind.astype(np.int32).reshape(moduli)
     for axis in range(len(moduli)):
         acc += np.roll(acc, -1, axis=axis)
     return acc.reshape(-1)
@@ -137,7 +138,7 @@ def _best_cover(counts: np.ndarray, size: int, d: int) -> tuple[int, int]:
     """(i, counts[i]) at the first maximum of the cover counts of a subset of
     `size` elements along d directions, checking sum(counts) = 2^d |U| and
     counts[i] > 2^(d-1) exactly: the covering step of both certificates."""
-    if int(counts.sum()) != (1 << d) * size:
+    if int(counts.sum(dtype=np.int64)) != (1 << d) * size:
         raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
     i = int(np.argmax(counts))  # argmax returns the first, i.e. smallest, index
     best = int(counts[i])
@@ -291,10 +292,7 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
     """
     m, d = _check_lift(G, S)
     size = m**d
-    if size > cap:
-        raise BudgetExceeded(
-            f"lift source size {m}^{d} = {size} exceeds the cap {cap}"
-        )
+    check_cap("lift source", size, cap, "points")
     images = S.images()
 
     # appending coordinate i as the least significant digit: column j of the
@@ -371,10 +369,7 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     """
     if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
-    if 1 << S.d > DEFAULT_LIFT_CAP:
-        raise BudgetExceeded(
-            f"witness cube has 2^{S.d} = {1 << S.d} corners, above the cap {DEFAULT_LIFT_CAP}"
-        )
+    check_cap("witness cube", 1 << S.d, DEFAULT_LIFT_CAP, "corners")
     u_ind = _membership_array(G.order, U)
     size = _majority(u_ind)
     m, d = _check_lift(G, S)

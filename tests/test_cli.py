@@ -590,32 +590,70 @@ def test_q5_signing_search_output_is_pinned(tmp_path, capsys):
 # address space alone is capped at 256 MB.  A refusal must come before any
 # allocation that limit would stop.  One argument carries at most 128 KiB on
 # Linux, so the nested group spec is 65,000 deep there; the signing file
-# nests 100,000 deep.
+# nests 100,000 deep.  Each row names the start of its stderr: a command
+# refused as a whole starts with "error:", while a scan records a refused
+# instance and goes on, so it starts with its (empty) totals.
 _HOSTILE_LIMIT = 256 << 20
 _DEEP_SPEC = '{"table":' + "[" * 65_000 + "]" * 65_000 + "}"
+_SCAN_REFUSAL = "scanned 0 instance(s); weak-bound failures: 0; min margin: None\ninstance error: "
+_Z10000_ALL = ",".join(map(str, range(1, 10_000)))
+
+
+def _plus_minus(n, k):
+    """The tokens +-1..+-k of Z_n, a symmetric set of 2k elements."""
+    return ",".join(map(str, [*range(1, k + 1), *range(n - k, n)]))
+
+
 _HOSTILE = [
-    pytest.param(["build", "--group", '{"table": 5}', "--gens", "1"], None, 2, id="table-int"),
-    pytest.param(["build", "--group", '{"table": [5]}', "--gens", "1"], None, 2, id="table-row-int"),
+    pytest.param(["build", "--group", '{"table": 5}', "--gens", "1"], None, 2,
+                 "error: multiplication table must be a list of rows", id="table-int"),
+    pytest.param(["build", "--group", '{"table": [5]}', "--gens", "1"], None, 2,
+                 "error: table row 0 must be a list", id="table-row-int"),
     pytest.param(["build", "--group", '{"table": [[0, 1], 7]}', "--gens", "1"], None, 2,
-                 id="table-second-row-int"),
-    pytest.param(["counterexample", "--n", "1024"], None, 2, id="counterexample-1024"),
-    pytest.param(["counterexample", "--n", "1000000"], None, 2, id="counterexample-1000000"),
-    pytest.param(["scan", "--graph", "complete:100000"], None, 2, id="scan-complete"),
-    pytest.param(["scan", "--graph", "cycle:4097"], None, 2, id="scan-cycle"),
-    pytest.param(["signing", "huang", "--n", "13"], None, 2, id="huang-13"),
-    pytest.param(["build", "--group", "dihedral:1025", "--gens", "1"], None, 2, id="dihedral-1025"),
+                 "error: table row 1 must be a list", id="table-second-row-int"),
+    pytest.param(["counterexample", "--n", "1024"], None, 2,
+                 "error: counterexample graph has 4098 vertices", id="counterexample-1024"),
+    pytest.param(["counterexample", "--n", "1000000"], None, 2,
+                 "error: counterexample graph has 4000002 vertices", id="counterexample-1000000"),
+    pytest.param(["scan", "--graph", "complete:100000"], None, 2,
+                 _SCAN_REFUSAL + "complete:100000: graph has 100000 vertices", id="scan-complete"),
+    pytest.param(["scan", "--graph", "cycle:4097"], None, 2,
+                 _SCAN_REFUSAL + "cycle:4097: graph has 4097 vertices", id="scan-cycle"),
+    pytest.param(["signing", "huang", "--n", "13"], None, 2,
+                 "error: hypercube has 13 dimensions", id="huang-13"),
+    pytest.param(["build", "--group", "dihedral:1025", "--gens", "1"], None, 2,
+                 "error: multiplication table has 4202500 entries", id="dihedral-1025"),
     pytest.param(["signing", "verify", "--c", "1", "--in", "FILE"], '{"n":4097,"signs":[]}', 2,
-                 id="signing-file-4097"),
+                 "error: signing has 4097 vertices", id="signing-file-4097"),
     pytest.param(["signing", "verify", "--c", "1", "--in", "FILE"],
-                 "[" * 100_000 + "]" * 100_000, 2, id="signing-file-deep"),
+                 "[" * 100_000 + "]" * 100_000, 2, "error: malformed signing JSON",
+                 id="signing-file-deep"),
     pytest.param(["signing", "search", "--in", "FILE"], '{"n":513,"edges":[]}', 2,
-                 id="graph-file-513"),
-    pytest.param(["build", "--group", _DEEP_SPEC, "--gens", "1"], None, 2, id="deep-group-spec"),
+                 "error: graph has 513 vertices", id="graph-file-513"),
+    pytest.param(["build", "--group", _DEEP_SPEC, "--gens", "1"], None, 2,
+                 "error: malformed group spec JSON", id="deep-group-spec"),
+    # every selected group is checked before any scan item is built
+    pytest.param(["scan", "--abelian-orders", "32"], None, 2,
+                 "error: z2x2x2x2x2 has 31 involutions and inverse pairs", id="scan-abelian-32"),
+    pytest.param(["scan", "--abelian-orders", "1000000000"], None, 2,
+                 "error: z1000000000 has 1000000000 elements", id="scan-abelian-1000000000"),
+    # |S| |G| translation entries are refused before a row is built
+    pytest.param(["build", "--group", "z10000", "--gens", _Z10000_ALL], None, 2,
+                 "error: translation table has 99990000 entries", id="build-dense-z10000"),
+    pytest.param(["witness", "--group", "z10000", "--gens", _Z10000_ALL, "--subset", "0"], None, 2,
+                 "error: translation table has 99990000 entries", id="witness-dense-z10000"),
+    pytest.param(["build", "--group", "z4096", "--gens", _plus_minus(4096, 256)], None, 2,
+                 "error: translation table has 2097152 entries, above the cap 1048576",
+                 id="build-z4096-256"),
     # controls: the same limit admits real work
-    pytest.param(["counterexample", "--n", "3"], None, 0, id="control-counterexample-3"),
-    pytest.param(["counterexample", "--n", "1023"], None, 0, id="control-counterexample-1023"),
+    pytest.param(["counterexample", "--n", "3"], None, 0, "", id="control-counterexample-3"),
+    pytest.param(["counterexample", "--n", "1023"], None, 0, "", id="control-counterexample-1023"),
     # a pool of two workers, whose import is deferred until it starts
-    pytest.param(["--jobs", "2", "scan", "--abelian-orders", "8"], None, 0, id="control-scan-jobs-2"),
+    pytest.param(["--jobs", "2", "scan", "--abelian-orders", "8"], None, 0,
+                 "scanned 152 instance(s)", id="control-scan-jobs-2"),
+    # 2^20 entries, the translation-entry cap, built and printed
+    pytest.param(["build", "--group", "z4096", "--gens", _plus_minus(4096, 128), "--print-graph"],
+                 None, 0, "", id="control-build-z4096-128"),
 ]
 
 
@@ -625,8 +663,10 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_HOSTILE_LIMIT, _HOSTILE_LIMIT))
 
 
-@pytest.mark.parametrize("command, text, code", _HOSTILE)
-def test_hostile_inputs_are_refused_under_a_256_mb_address_space(tmp_path, command, text, code):
+@pytest.mark.parametrize("command, text, code, stderr", _HOSTILE)
+def test_hostile_inputs_are_refused_under_a_256_mb_address_space(
+    tmp_path, command, text, code, stderr
+):
     if text is not None:
         path = tmp_path / "in.json"
         path.write_text(text)
@@ -639,14 +679,7 @@ def test_hostile_inputs_are_refused_under_a_256_mb_address_space(tmp_path, comma
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    if code == 0:
-        return
-    if command[0] == "scan":
-        # a scan records a refused instance and goes on; nothing was scanned
-        assert proc.stderr.startswith("scanned 0 instance(s)"), proc.stderr
-        assert f"\ninstance error: {command[-1]}: " in proc.stderr
-    else:
-        assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stderr.startswith(stderr), proc.stderr
 
 
 def test_importing_the_package_loads_no_process_pool():

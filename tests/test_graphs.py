@@ -471,9 +471,10 @@ def test_hypercube_catalog_is_the_cayley_graph_of_z2_power():
         X = builtin_graph(f"q{dim}")
         assert X == expected and X.edge_count == expected.edge_count == dim << (dim - 1)
     assert builtin_graph(" Q12 ").n == 4096
-    for name in ("q0", "q13"):
-        with pytest.raises(ValueError, match="hypercube dimension"):
-            builtin_graph(name)
+    with pytest.raises(ValueError, match="^hypercube dimension must be >= 1, got 0$"):
+        builtin_graph("q0")
+    with pytest.raises(BudgetExceeded, match="^hypercube has 13 dimensions, above the cap 12$"):
+        builtin_graph("q13")
 
 
 def _peeled_bits(mask):

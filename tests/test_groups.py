@@ -502,7 +502,7 @@ def test_enumeration_max_size_filter():
 def test_enumeration_budget(monkeypatch):
     G = make_group("z12")  # 11 non-identity elements, unit count above a tiny cap
     monkeypatch.setattr(groups, "ENUMERATION_UNIT_CAP", 3)
-    with pytest.raises(BudgetExceeded, match="2\\^6 - 1 subsets exceeds the enumeration cap of 3 units"):
+    with pytest.raises(BudgetExceeded, match="^z12 has 6 involutions and inverse pairs, above the cap 3$"):
         list(enumerate_symmetric_generating_sets(G))
 
 
@@ -515,7 +515,7 @@ def test_render_and_elements():
 
 
 def test_group_order_cap():
-    with pytest.raises(ValueError, match="maximum"):
+    with pytest.raises(BudgetExceeded, match="^z20000 has 20000 elements, above the cap 10000$"):
         make_group("z20000")
 
 
@@ -531,20 +531,18 @@ def test_table_entries_are_refused_before_validation():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(err.value) == (
-            f"multiplication table has {n}^2 = {n * n} entries, above the cap 4194304"
-        )
+        assert str(err.value) == f"multiplication table has {n * n} entries, above the cap 4194304"
         assert peak < 1 << 16
     # dihedral tables are refused before they are built
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded, match=r"2050\^2 = 4202500 entries"):
+        with pytest.raises(BudgetExceeded, match="^multiplication table has 4202500 entries"):
             make_group("dihedral:1025")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    with pytest.raises(ValueError, match="group order 12000 exceeds the supported maximum"):
+    with pytest.raises(BudgetExceeded, match="^multiplication table has 144000000 entries"):
         make_group("dihedral:6000")
 
 

@@ -1,22 +1,37 @@
 """Input errors raised by the library functions themselves, each with its
 exact message (the CLI's own input errors are tested in test_cli.py)."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cayleydeg
 from cayleydeg.errors import BudgetExceeded
-from cayleydeg.extremal import branch_and_bound, heuristic_search, min_max_degree
-from cayleydeg.graphs import Graph, builtin_graph, import_graph
-from cayleydeg.groups import element_order, make_generating_set, make_group
-from cayleydeg.signing import signing_search, spectrum, verify_signing
-from cayleydeg.witness import make_lift
+from cayleydeg.extremal import (
+    abelian_scan_items,
+    branch_and_bound,
+    heuristic_search,
+    min_max_degree,
+)
+from cayleydeg.graphs import Graph, VertexSet, builtin_graph, import_graph
+from cayleydeg.groups import (
+    element_order,
+    enumerate_symmetric_generating_sets,
+    make_generating_set,
+    make_group,
+)
+from cayleydeg.signing import huang_signing, signing_search, spectrum, verify_signing
+from cayleydeg.witness import abelian_witness, make_lift
 
 C5 = builtin_graph("cycle:5")
 Z4X2 = make_group("z4x2")
 Q8 = make_group("q8")
 D4 = make_group("d4")
+Z8X8 = make_group("z8x8")
+Z2_5 = make_group([2] * 5)
 
 CASES = [
     (lambda: min_max_degree(C5, 0), "subset size 0 out of range 1..5"),
@@ -52,6 +67,36 @@ CASES = [
         lambda: verify_signing(np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64), 0),
         f"verify_signing works in int64: entries of M M may reach {2**126}, above 2^63 - 1",
     ),
+    # one row per size cap, each refused by errors.check_cap
+    (lambda: make_group("z20000"), "z20000 has 20000 elements, above the cap 10000"),
+    (
+        lambda: make_group("dihedral:1025"),
+        "multiplication table has 4202500 entries, above the cap 4194304",
+    ),
+    (
+        lambda: enumerate_symmetric_generating_sets(Z2_5),
+        "z2x2x2x2x2 has 31 involutions and inverse pairs, above the cap 24",
+    ),
+    (lambda: builtin_graph("q13"), "hypercube has 13 dimensions, above the cap 12"),
+    (lambda: huang_signing(13), "hypercube has 13 dimensions, above the cap 12"),
+    (
+        lambda: signing_search(builtin_graph("cycle:21"), exhaustive=True),
+        "graph has 21 edges, above the cap 20",
+    ),
+    (
+        lambda: make_lift(Z8X8, make_generating_set(Z8X8, [1, 7, 8, 56, 9, 63]), cap=100),
+        "lift source has 512 points, above the cap 100",
+    ),
+    (
+        lambda: abelian_witness(Z2_5, make_generating_set(Z2_5, range(1, 24)), range(17)),
+        "witness cube has 8388608 corners, above the cap 4194304",
+    ),
+    (lambda: VertexSet.full(1 << 40), "vertex set has 1099511627776 vertices, above the cap 4194304"),
+    (lambda: abelian_scan_items(10**9), "z1000000000 has 1000000000 elements, above the cap 10000"),
+    (
+        lambda: make_generating_set(make_group("z10000"), range(1, 10_000)),
+        "translation table has 99990000 entries, above the cap 1048576",
+    ),
 ]
 
 
@@ -62,6 +107,25 @@ def test_library_input_errors_have_their_message(call, message):
     assert str(err.value) == message
     # a size cap is a budget, with the wording of the file readers
     assert isinstance(err.value, BudgetExceeded) == ("above the cap" in message)
+
+
+def test_budget_exceeded_is_raised_by_the_cap_check_and_the_subset_budget_only():
+    # every size cap goes through errors.check_cap; min_max_degree's subset
+    # budget, passed on each call, keeps its own two refusals
+    found = []
+    for path in sorted(Path(cayleydeg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "BudgetExceeded":
+                found.append(f"{path.stem}.{owner.get(node)}")
+    assert sorted(found) == [
+        "errors.check_cap", "extremal.min_max_degree", "extremal.min_max_degree"
+    ]
 
 
 def test_a_huge_graph_is_refused_before_its_masks_are_allocated():

@@ -711,7 +711,7 @@ def test_huang_signing_json_is_pinned():
 
 
 def test_signing_file_size_is_refused_before_allocation():
-    cap = signing._SIGNING_FILE_CAP
+    cap = 1 << HUANG_DIMENSION_CAP
     for n in (cap + 1, 10 ** 12):
         tracemalloc.start()
         try:
