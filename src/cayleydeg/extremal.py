@@ -16,9 +16,10 @@ exhaustive scan can be restricted to subsets containing vertex 0, since
 right translation is a graph automorphism carrying any subset to one
 through 0.
 
-The exhaustive scan unranks the subsets in lexicographic chunks of 64-bit
-mask words and counts induced degrees with np.bitwise_count, so its memory
-is bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
+The exhaustive scan unranks the subsets in lexicographic chunks of uint8
+membership rows and counts induced degrees as sums of the rows that each
+vertex's neighbor slots index (Graph.neighbor_slots), so its memory is
+bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
 keeps its include/exclude search on an explicit stack, so its depth is not
 bounded by Python's recursion limit.  The heuristic keeps the degree of
 every vertex into the current subset and scores each candidate swap from
@@ -78,13 +79,16 @@ DEFAULT_SUBSET_BUDGET = 10**8
 
 _INT64_MAX = (1 << 63) - 1
 
-# Bytes of the largest temporary the exhaustive engine makes: one uint64 per
-# (vertex, subset) of a chunk.  A cached chunk of m subsets keeps
-# m * (8 * words + n) bytes, at most _CHUNK_BYTES / 4 for n >= 8 (smaller n
-# have at most 35 subsets), so the _CACHED_CHUNKS cached chunks stay under
-# 32 MiB.  Only runs of at most _CACHED_CHUNKS chunks go through the cache: a
-# longer run would evict every chunk, its own included, before reusing any.
-_CHUNK_BYTES = 1 << 20
+# _CHUNK_BYTES bounds one (vertex, subset) array of a chunk: uint8 memberships
+# or degrees (twice that for the degrees of n >= 256).  The scorer sums the
+# gathered rows of _SLOT_BATCH slots at a time, so its largest temporary is
+# _SLOT_BATCH times that, 1 MiB.  A cached chunk of m subsets keeps its
+# (n + 1) x m membership array, about _CHUNK_BYTES (smaller n have at most 35
+# subsets), so the _CACHED_CHUNKS cached chunks stay under 17 MiB.  Only runs
+# of at most _CACHED_CHUNKS chunks go through the cache: a longer run would
+# evict every chunk, its own included, before reusing any.
+_CHUNK_BYTES = 1 << 17
+_SLOT_BATCH = 8
 _CACHED_CHUNKS = 128
 
 
@@ -109,14 +113,12 @@ def _rank_table(pool: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHED_CHUNKS)
-def _subset_chunk(
-    n: int, s: int, fix_zero: bool, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _subset_chunk(n: int, s: int, fix_zero: bool, start: int, stop: int) -> np.ndarray:
     """The s-subsets of 0..n-1 of lexicographic ranks start..stop-1.
 
-    With fix_zero, only subsets containing vertex 0 are ranked.  Returns
-    (words, member): words[w, i] is bits 64w..64w+63 of subset i's mask and
-    member[v, i] is 1 when vertex v is in subset i, both read-only.
+    With fix_zero, only subsets containing vertex 0 are ranked.  Returns the
+    read-only uint8 array member, with member[v, i] = 1 when vertex v is in
+    subset i, and a zero row n, which the padding of neighbor slots reads.
 
     Ranks are unranked in one pass per vertex: among the ranks left at a
     vertex, those that take it (counted by _rank_table) come before those
@@ -126,7 +128,7 @@ def _subset_chunk(
     table = _rank_table(n - lo, s - lo)
     rank = np.arange(start, stop, dtype=np.int64)
     taken = np.zeros(rank.size, dtype=np.intp)
-    member = np.zeros((n, rank.size), dtype=np.uint8)
+    member = np.zeros((n + 1, rank.size), dtype=np.uint8)
     member[:lo] = 1
     ahead = np.empty(rank.size, dtype=np.int64)
     for v in range(lo, n):
@@ -135,46 +137,38 @@ def _subset_chunk(
         np.copyto(ahead, 0, where=take)
         rank -= ahead
         taken += take
-    # vertex v is bit v % 8 of byte v // 8 of the little-endian mask words
-    packed = np.zeros((rank.size, 8 * ((n + 63) // 64)), dtype=np.uint8)
-    packed[:, : (n + 7) // 8] = np.packbits(member, axis=0, bitorder="little").T
-    words = np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
-    words.setflags(write=False)
     member.setflags(write=False)
-    return words, member
+    return member
 
 
 def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
     """Least max induced degree over s-subsets, and the lex-least minimizer.
 
-    Chunks of subsets in lexicographic order are scored with one popcount
-    per (vertex, mask word): the degree of v in U is |adj(v) & U|, counted
-    only for members v.  A strict < across chunks keeps the first minimizer.
+    Chunks of subsets in lexicographic order are scored on the neighbor
+    slots of X: the degree of v in U is the sum over v's slots j of
+    member[slots[j, v]], counted only for members v (a padded slot reads the
+    zero row).  A strict < across chunks keeps the first minimizer.
     """
     n = X.n
     total = math.comb(n - 1, s - 1) if fix_zero else math.comb(n, s)
-    nwords = (n + 63) // 64
-    adj = np.array(
-        [[(a >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)] for a in X.adj_masks],
-        dtype=np.uint64,
-    ).reshape(n, nwords)
+    slots = X.neighbor_slots()
     dtype = np.min_scalar_type(n)  # holds every induced degree (< n)
-    step = max(1, _CHUNK_BYTES // (8 * n * nwords))
+    step = max(1, _CHUNK_BYTES // n)
     chunk = _subset_chunk if total <= _CACHED_CHUNKS * step else _subset_chunk.__wrapped__
     best = n  # above every induced degree
-    best_mask = 0
     for start in range(0, total, step):
-        words, member = chunk(n, s, fix_zero, start, min(start + step, total))
-        deg = np.bitwise_count(words[0] & adj[:, 0, None]).astype(dtype, copy=False)
-        for w in range(1, nwords):
-            deg += np.bitwise_count(words[w] & adj[:, w, None])
-        deg *= member
+        member = chunk(n, s, fix_zero, start, min(start + step, total))
+        deg = np.add.reduce(member[slots[:_SLOT_BATCH]], axis=0, dtype=dtype)
+        for j in range(_SLOT_BATCH, len(slots), _SLOT_BATCH):
+            deg += np.add.reduce(member[slots[j : j + _SLOT_BATCH]], axis=0, dtype=dtype)
+        deg *= member[:n]
         top = deg.max(axis=0)
         i = int(top.argmin())
         if top[i] < best:
             best = int(top[i])
-            best_mask = sum(int(words[w, i]) << (64 * w) for w in range(nwords))
-    return best, VertexSet(n, best_mask)
+            witness = member[:n, i]
+    mask = int.from_bytes(np.packbits(witness, bitorder="little").tobytes(), "little")
+    return best, VertexSet(n, mask)
 
 
 @dataclass(frozen=True)

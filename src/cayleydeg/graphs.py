@@ -2,9 +2,13 @@
 induced degree queries, a counterexample family, a catalog of named graphs,
 and DOT/JSON serialization.
 
-Vertices are indices 0..n-1.  Adjacency is kept once, as one integer
-bitmask per vertex: induced-subgraph degree counting is a popcount, and
-neighbor lists, degrees, edges and components are read off the masks.
+Vertices are indices 0..n-1.  Adjacency is kept as one integer bitmask per
+vertex: induced-subgraph degree counting is a popcount, and neighbor lists,
+degrees, edges and components are read off the masks.  The exhaustive
+engine reads a second, array form, the neighbor slots (Graph.neighbor_slots).
+build_cayley hands a Cayley graph the translation rows of S as its slots and
+ORs its masks from those rows in numpy, with no edge loop; any other graph
+builds its slots from its masks on first use.
 Graph and VertexSet are frozen dataclasses.  builtin_graph is the one catalog
 behind every CLI --graph flag, and _json_records reads graph and signing JSON,
 whose entries must be lists of ints.
@@ -16,7 +20,9 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import check_cap, load_json
 from .groups import MAX_GROUP_ORDER, FiniteGroup, GeneratingSet
@@ -127,6 +133,7 @@ class Graph:
     n: int
     adj_masks: tuple[int, ...]
     edge_count: int = field(compare=False)
+    _slots: np.ndarray | None = field(compare=False, repr=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -147,16 +154,43 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_masks", tuple(masks))
         object.__setattr__(self, "edge_count", count)
+        object.__setattr__(self, "_slots", None)
 
     @classmethod
-    def _from_masks(cls, n: int, adj_masks: tuple[int, ...], edge_count: int) -> "Graph":
+    def _from_masks(
+        cls, n: int, adj_masks: tuple[int, ...], edge_count: int, slots: np.ndarray | None = None
+    ) -> "Graph":
         """A graph from adjacency masks that are already symmetric, loop-free
-        and within 0..n-1, with edge_count their number of edges; unchecked."""
+        and within 0..n-1, with edge_count their number of edges, and
+        optionally its read-only neighbor slots; unchecked."""
         X = object.__new__(cls)
         object.__setattr__(X, "n", n)
         object.__setattr__(X, "adj_masks", adj_masks)
         object.__setattr__(X, "edge_count", edge_count)
+        object.__setattr__(X, "_slots", slots)
         return X
+
+    def __reduce__(self):
+        # the slots are left out: an unpickled graph builds read-only ones
+        return Graph._from_masks, (self.n, self.adj_masks, self.edge_count)
+
+    def neighbor_slots(self) -> np.ndarray:
+        """A read-only k x n index array, k the max degree (at least 1):
+        column v lists the neighbors of v, then n, the index of no vertex,
+        in its remaining slots.  So with a membership array that has a zero
+        row n appended, sum_j member[slots[j]] is every vertex's degree into
+        the member set.  Built from the masks once, on first use, and kept;
+        a graph from build_cayley already has its translation rows."""
+        if self._slots is None:
+            n = self.n
+            # the least dtype that holds n, since a dense graph keeps n k of them
+            slots = np.full((max(self.max_degree(), 1), n), n, dtype=np.min_scalar_type(n))
+            for v, m in enumerate(self.adj_masks):
+                nbrs = _bit_indices(m)
+                slots[: len(nbrs), v] = nbrs
+            slots.flags.writeable = False
+            object.__setattr__(self, "_slots", slots)
+        return self._slots
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bit_indices(self.adj_masks[v]))
@@ -166,7 +200,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, sorted."""
-        return [(u, v) for u, m in enumerate(self.adj_masks) for v in _bit_indices(m) if u < v]
+        return list(self._edge_pairs())
+
+    def _edge_pairs(self) -> Iterator[tuple[int, int]]:
+        """The edges in the order of edges(), one at a time, so that an
+        export never holds the list and its serialization at once."""
+        return ((u, v) for u, m in enumerate(self.adj_masks) for v in _bit_indices(m) if u < v)
 
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self.adj_masks), default=0)
@@ -190,15 +229,28 @@ class CayleyGraph:
 def build_cayley(G: FiniteGroup, S: GeneratingSet) -> CayleyGraph:
     """Cayley graph on G with edges {g, s*g} for every s in S.
 
-    The set S is symmetric, so each edge arises from s and its inverse; the
-    result is an |S|-regular simple graph (connected exactly when S
-    generates).
+    The set S is symmetric and identity-free, so each edge arises from s and
+    its inverse and the result is an |S|-regular simple graph (connected
+    exactly when S generates) with |G| |S| / 2 edges.  The translation rows
+    of S are its neighbor slots, and its masks are OR-ed from them.
     """
-    rows = G.translations(S.sorted_elements()).tolist()
-    # s*g = h exactly when s^-1*h = g, so every edge shows up once from each
-    # end; keep it at its smaller end
-    graph = Graph(G.order, ((g, h) for row in rows for g, h in enumerate(row) if g < h))
+    rows = G.translations(S.sorted_elements())
+    rows.flags.writeable = False
+    graph = Graph._from_masks(G.order, _row_masks(rows), G.order * S.size // 2, slots=rows)
     return CayleyGraph(graph=graph, group=G, gens=S)
+
+
+def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
+    """Adjacency masks as Python ints: mask g has bit rows[j, g] for every j."""
+    n = rows.shape[1]
+    words = (n + 63) // 64
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    if words == 1:
+        return tuple(np.bitwise_or.reduce(bits, axis=0).tolist())
+    packed = np.zeros((n, words), dtype="<u8")
+    np.bitwise_or.at(packed, (np.arange(n), rows >> 6), bits)
+    data, width = packed.tobytes(), 8 * words
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
 def induced_max_degree(X: Graph, U) -> tuple[int, int | None]:
@@ -379,12 +431,12 @@ def export_graph(X: Graph, format: str = "json") -> bytes:
     """
     fmt = format.lower()
     if fmt == "json":
-        obj = {"n": X.n, "edges": [[u, v] for u, v in X.edges()]}
+        obj = {"n": X.n, "edges": [[u, v] for u, v in X._edge_pairs()]}
         return json.dumps(obj, separators=(",", ":")).encode()
     if fmt == "dot":
         lines = ["graph {"]
         lines += [f"  {v};" for v in range(X.n)]
-        lines += [f"  {u} -- {v};" for u, v in X.edges()]
+        lines += [f"  {u} -- {v};" for u, v in X._edge_pairs()]
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown graph format {format!r}")

@@ -15,11 +15,19 @@ A table group keeps its table as one read-only intp array; the cached
 inverses and residues are read-only too, and an unpickled group is rebuilt
 through __init__, so the arrays stay read-only in every process.  Generating
 sets are walked and tested for generation on the rows as plain lists.
+
+What depends only on a cyclic presentation (its moduli) is computed once per
+process and shared read-only by every group of that presentation: the
+residues, the inverses, the generation flag of a member tuple, and the
+witness layer's least-preimage listing of a tuple of generator images
+(FiniteGroup._shared).  One cache holds them all, bounded by the ints its
+keys and values hold (_PRESENTATION_CACHE_ENTRIES = 2^18, about 2 MiB of
+intp), and drops the least recently used first.
 """
 
 from __future__ import annotations
 
-import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations
@@ -48,6 +56,46 @@ _TABLE_ENTRY_CAP = 1 << 22
 # |S| |G| translation entries: the largest power of two at which
 # `cayleydeg build --print-graph` fits in 256 MB of address space
 _TRANSLATION_ENTRY_CAP = 1 << 20
+_PRESENTATION_CACHE_ENTRIES = 1 << 18
+
+
+def _int_count(obj) -> int:
+    """The ints an array, a tuple of them, or a scalar holds."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, tuple):
+        return sum(map(_int_count, obj))
+    return 1
+
+
+class _PresentationCache:
+    """Values by key, each built once while it stays cached.  The ints that
+    the cached keys and values hold total at most `bound`; the least
+    recently used are dropped first, and a value larger than the bound is
+    returned without being kept.  Values must be immutable (read-only
+    arrays, tuples, scalars), since every caller shares them."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.entries = 0
+        self._items: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+
+    def get(self, key: tuple, build):
+        hit = self._items.get(key)
+        if hit is not None:
+            self._items.move_to_end(key)
+            return hit[0]
+        value = build()
+        size = _int_count(key) + _int_count(value)
+        if size <= self.bound:
+            self._items[key] = (value, size)
+            self.entries += size
+            while self.entries > self.bound:
+                self.entries -= self._items.popitem(last=False)[1][1]
+        return value
+
+
+_PRESENTATIONS = _PresentationCache(_PRESENTATION_CACHE_ENTRIES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +131,22 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def _shared(self, kind: str, build, *args):
+        """build(), computed once per (kind, moduli, args) while the
+        presentation cache keeps it and shared by every group of these
+        moduli; build() must return an immutable value.  A table group,
+        which has no presentation key, builds it on every call."""
+        if not self.moduli:
+            return build()
+        return _PRESENTATIONS.get((kind, self.moduli, *args), build)
+
     @cached_property
     def _coords(self) -> np.ndarray:
         # residues of every element, one row per modulus (C order: the first
-        # modulus is the most significant digit)
-        return _read_only(np.array(np.unravel_index(np.arange(self.order), self.moduli)))
+        # modulus is the most significant digit); int16 holds the sum of two,
+        # since every modulus is at most MAX_GROUP_ORDER < 2^14
+        return self._shared("coords", lambda: _read_only(np.array(
+            np.unravel_index(np.arange(self.order), self.moduli), dtype=np.int16)))
 
     def translations(self, elems: Sequence[int]) -> np.ndarray:
         """Left-translation rows: row i is L_s with s = elems[i], L_s[g] = s*g."""
@@ -104,10 +163,9 @@ class FiniteGroup:
         """inverses[a] is the inverse of a."""
         if self.moduli:
             mods = np.array(self.moduli)[:, None]
-            inv = np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)
-        else:
-            inv = np.nonzero(self.table == 0)[1]
-        return _read_only(inv)
+            return self._shared("inverses", lambda: _read_only(
+                np.ravel_multi_index(tuple(-self._coords % mods), self.moduli)))
+        return _read_only(np.nonzero(self.table == 0)[1])
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Residue tuple of a cyclic-product element."""
@@ -224,11 +282,21 @@ def _check_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
 
 
 def _cyclic_product(moduli: Sequence[int]) -> FiniteGroup:
+    """The product of cycles of these moduli.  The order is checked against
+    MAX_GROUP_ORDER as the product forms, so a refusal names the first
+    moduli whose product passes the cap, never an order of thousands of
+    digits; a refused presentation is never built, so it never reaches the
+    presentation cache."""
     moduli = _check_moduli(moduli)
-    order = math.prod(moduli)
-    name = "z" + "x".join(str(m) for m in moduli)
-    check_cap(name, order, MAX_GROUP_ORDER, "elements")
-    return FiniteGroup(order=order, name=name, moduli=moduli)
+    order = 1
+    for i, m in enumerate(moduli, 1):
+        order *= m
+        if order > MAX_GROUP_ORDER:
+            kind = "z" + "x".join(map(str, moduli[:i]))
+            if i < len(moduli):
+                kind += f" (the first {i} of {len(moduli)} moduli)"
+            check_cap(kind, order, MAX_GROUP_ORDER, "elements")
+    return FiniteGroup(order=order, name="z" + "x".join(map(str, moduli)), moduli=moduli)
 
 
 def _table_group(table: list[list[int]], name: str) -> FiniteGroup:
@@ -439,8 +507,9 @@ def make_generating_set(
             )
 
     check_cap("translation table", len(elements) * G.order, _TRANSLATION_ENTRY_CAP, "entries")
-    members = sorted(elements)
-    generates = _generates(G.translations(members).tolist())
+    members = tuple(sorted(elements))
+    generates = G._shared(
+        "generates", lambda: _generates(G.translations(members).tolist()), members)
     if not generates and not allow_nongenerating:
         raise ValueError("set does not generate the group (pass allow_nongenerating to accept)")
     return GeneratingSet(

@@ -243,19 +243,24 @@ def _product_bound(mat: np.ndarray, deg: np.ndarray) -> int:
 def _squares_to(mat: np.ndarray, c: int) -> bool:
     """verify_signing on a square integer array, by the walk check."""
     n = mat.shape[0]
-    rows, cols = np.nonzero(mat)  # row-major, so grouped by row
-    deg = np.bincount(rows, minlength=n)
+    rows, cols, vals = _nonzeros(mat)  # row-major, so grouped by row
+    deg = np.bincount(rows, minlength=n).astype(np.int32)
     bound = _product_bound(mat, deg)
     if bound > _INT64_MAX:
         raise ValueError(
             f"verify_signing works in int64: entries of M M may reach {bound}, "
             f"above 2^63 - 1"
         )
-    vals = mat[rows, cols].astype(np.int64)
     row_start = np.cumsum(deg) - deg
     fanout = deg[cols]  # walks that start with each entry
     entry_at_row = np.append(row_start, rows.size)
-    walks_at_row = np.append(0, np.cumsum(fanout))[entry_at_row]
+    # walks[i]: the walks that start with entries before i; int64, since the
+    # walks number up to n^3, and cast from fanout in place, not by a copy
+    walks = np.zeros(rows.size + 1, dtype=np.int64)
+    walks[1:] = fanout
+    np.cumsum(walks, out=walks)
+    walks_at_row = walks[entry_at_row]
+    del walks
     diag = np.zeros(n, dtype=np.int64)
     # Rows of M M are independent, so they are checked in blocks of whole
     # rows with at most _WALK_BLOCK = 2^13 walks (or one row, if it has
@@ -276,6 +281,30 @@ def _squares_to(mat: np.ndarray, c: int) -> bool:
     return bool((diag == c).all())
 
 
+def _nonzeros(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of mat in row-major order: int32 rows and columns (an
+    index is below n < 2^31) and int64 values.  They are read one band of
+    rows, about 8 _WALK_BLOCK = 2^16 entries, at a time into arrays sized by
+    one count, so np.nonzero's int64 indices never exist for the whole
+    matrix."""
+    n = mat.shape[0]
+    size = np.count_nonzero(mat)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size, dtype=np.int64)
+    band = max(1, 8 * _WALK_BLOCK // max(n, 1))
+    at = 0
+    for r in range(0, n, band):
+        block = mat[r : r + band]
+        u, v = np.nonzero(block)
+        end = at + u.size
+        rows[at:end] = u + r
+        cols[at:end] = v
+        vals[at:end] = block[u, v]
+        at = end
+    return rows, cols, vals
+
+
 def _walk_sums(rows, cols, vals, row_start, fanout, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
     """The entries of M M reached by the length-2 walks that start with
     nonzeros lo..hi of (rows, cols, vals): keys u n + w, ascending, and sums.
@@ -289,7 +318,7 @@ def _walk_sums(rows, cols, vals, row_start, fanout, lo, hi, n) -> tuple[np.ndarr
     walk_start = np.cumsum(f) - f
     second = np.repeat(row_start[cols[lo:hi]] - walk_start, f)
     second += np.arange(second.size)
-    keys, terms = rows[first], vals[first]
+    keys, terms = rows[first].astype(np.int64), vals[first]  # keys reach n^2
     del first
     keys *= n
     keys += cols[second]

@@ -318,9 +318,9 @@ def make_lift(G: FiniteGroup, S: GeneratingSet, cap: int = DEFAULT_LIFT_CAP) -> 
 
 def _least_preimage_order(
     G: FiniteGroup, images: tuple[int, ...], m: int
-) -> tuple[np.ndarray, list[int]]:
-    """The elements of G sorted by their least preimage under the lift A,
-    with the radices q_j of that order.
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The elements of G sorted by their least preimage under the lift A, as
+    a read-only array, with the radices q_j of that order.
 
     H_j = <s_j, ..., s_{d-1}> is the disjoint union of the cosets
     k*s_j + H_{j+1} for k < q_j, the order of s_j modulo H_{j+1}.  The least
@@ -347,10 +347,10 @@ def _least_preimage_order(
         listed = np.ravel_multi_index(tuple(cosets.reshape(len(G.moduli), -1)), G.moduli)
         in_h[listed] = True
         radices.append(q)
-    radices.reverse()
     if listed.size != G.order or not in_h.all() or any(m % q for q in radices):
         raise InvariantBreach("lift fibers are not uniform despite a generating set")
-    return listed, radices
+    listed.flags.writeable = False
+    return listed, tuple(reversed(radices))
 
 
 def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
@@ -375,7 +375,8 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     m, d = _check_lift(G, S)
     images = S.images()
     rows = G.translations(images)
-    listed, radices = _least_preimage_order(G, images, m)
+    listed, radices = G._shared(
+        "least preimage order", lambda: _least_preimage_order(G, images, m), images)
 
     counts = u_ind.astype(np.int64)
     for row in rows:

@@ -637,6 +637,10 @@ _HOSTILE = [
                  "error: z2x2x2x2x2 has 31 involutions and inverse pairs", id="scan-abelian-32"),
     pytest.param(["scan", "--abelian-orders", "1000000000"], None, 2,
                  "error: z1000000000 has 1000000000 elements", id="scan-abelian-1000000000"),
+    # refused as the product forms, not by formatting a 4,516-digit order
+    pytest.param(["build", "--group", "z" + "x".join(["2"] * 15_000), "--gens", "1"], None, 2,
+                 "error: z2x2x2x2x2x2x2x2x2x2x2x2x2x2 (the first 14 of 15000 moduli) has 16384 "
+                 "elements, above the cap 10000", id="build-z2-power-15000"),
     # |S| |G| translation entries are refused before a row is built
     pytest.param(["build", "--group", "z10000", "--gens", _Z10000_ALL], None, 2,
                  "error: translation table has 99990000 entries", id="build-dense-z10000"),

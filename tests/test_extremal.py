@@ -592,7 +592,8 @@ def test_scan_items_carry_the_enumerated_set_and_scan_does_not_revalidate(monkey
 
 # ---------------------------------------------------------------------------
 # reference exhaustive engines: the uint32 mask array scored with a 16-bit
-# popcount table (n <= 32), and lexicographic iteration over Python int masks
+# popcount table (n <= 32), and lexicographic iteration over Python int masks;
+# neither reads the neighbor slots the engine scores with
 
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
@@ -652,7 +653,7 @@ def test_exhaustive_matches_table_reference():
 
 
 def test_exhaustive_matches_loop_reference_on_wide_graphs():
-    # n > 64 needs two 64-bit words per mask
+    # n > 64: masks of more than one 64-bit word
     rng = random.Random(616)
     for n, s_max in [(n, 4) for n in range(33, 41)] + [(n, 3) for n in range(65, 71)]:
         X = _random_graph(rng, n)
@@ -661,19 +662,76 @@ def test_exhaustive_matches_loop_reference_on_wide_graphs():
                 assert _engine(X, s, fix_zero) == _loop_reference(X, s, fix_zero), (n, s)
 
 
+def _cayley_instances(rng, specs, per_group):
+    """Seeded Cayley graphs: per group, random symmetric sets (generating or
+    not) of one to six inverse classes, so some need two slot batches."""
+    out = []
+    for spec in specs:
+        G = make_group(spec)
+        for _ in range(per_group):
+            elems = set()
+            for _ in range(rng.randint(1, 6)):
+                g = rng.randrange(1, G.order)
+                elems |= {g, G.inv(g)}
+            out.append(build_cayley(G, make_generating_set(G, elems, allow_nongenerating=True)))
+    return out
+
+
+def test_exhaustive_matches_the_references_on_cayley_graphs():
+    # the engine scores a Cayley graph on its translation rows, cyclic
+    # products and table groups alike
+    rng = random.Random(727)
+    specs = ["z6", "z2x2x2", "z4x2", "z3x3", "z12", "z2x2x2x2", "z4x4", "z8x2", "z15",
+             "dihedral:3", "dihedral:4", "dihedral:6", "dihedral:8", "q8"]
+    dense = [build_cayley(G, make_generating_set(G, elems)) for G, elems in [
+        (make_group("z4x4"), range(1, 16)),
+        (make_group("dihedral:8"), range(1, 16)),
+        (make_group("z2x2x2x2"), range(1, 11)),
+    ]]
+    for C in _cayley_instances(rng, specs, 3) + dense:
+        X = C.graph
+        assert X.neighbor_slots() is not None and X.neighbor_slots().shape == (C.gens.size, X.n)
+        for s in range(1, X.n + 1):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _table_reference(X, s, fix_zero), (C.group.name, s)
+    # sym:4 has 24 vertices: the subset sizes whose C(n, s) stays small
+    for C in _cayley_instances(rng, ["sym:4"], 3):
+        X = C.graph
+        for s in (1, 2, 3, 21, 22, 23, 24):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _loop_reference(X, s, fix_zero), s
+
+
+def test_exhaustive_matches_the_references_on_graphs_with_isolated_vertices():
+    # a vertex of lower degree reads the zero row through its padded slots
+    rng = random.Random(838)
+    for n in range(2, 15):
+        isolated = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+        p = rng.uniform(0.2, 0.9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if u not in isolated and v not in isolated and rng.random() < p]
+        X = Graph(n, edges)
+        slots = X.neighbor_slots()
+        assert slots.shape == (max(X.max_degree(), 1), n) and not slots.flags.writeable
+        assert all(slots[:, v].tolist() == [n] * slots.shape[0] for v in isolated)
+        for s in range(1, n + 1):
+            for fix_zero in (False, True):
+                assert _engine(X, s, fix_zero) == _table_reference(X, s, fix_zero), (n, s)
+
+
 @pytest.mark.parametrize("length", [1, 7, 64])
 def test_lex_least_witness_survives_chunk_boundaries(monkeypatch, length):
     rng = random.Random(length)
     graphs = [Graph(7, []), builtin_graph("cycle:9"), builtin_graph("petersen")]
     graphs += [_random_graph(rng, n) for n in (8, 10, 11)]
     for X in graphs:
-        # chunks of exactly `length` subsets: one 8-byte word per vertex each
-        monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * 8 * X.n)
+        # chunks of exactly `length` subsets: one membership byte per vertex each
+        monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * X.n)
         for s in range(1, X.n + 1):
             for fix_zero in (False, True):
                 assert _engine(X, s, fix_zero) == _table_reference(X, s, fix_zero)
     X = _random_graph(rng, 66)
-    monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * 8 * 2 * X.n)
+    monkeypatch.setattr(extremal, "_CHUNK_BYTES", length * X.n)
     for s in (1, 2):
         for fix_zero in (False, True):
             assert _engine(X, s, fix_zero) == _loop_reference(X, s, fix_zero)

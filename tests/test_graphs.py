@@ -315,6 +315,44 @@ def test_build_cayley_matches_scalar_edge_loop():
             assert X.edges() == sorted(expected), (spec, sorted(elems))
 
 
+def test_build_cayley_hands_its_translation_rows_to_the_graph():
+    # orders past 64 take the multi-word mask path; each graph must equal the
+    # one the checked edge loop builds from the same rows
+    rng = random.Random(78)
+    for spec in ["z6", "z2x2x2x2", "q8", "z65", "z9x9", "dihedral:40", "z4x4x8", "z1000"]:
+        G = make_group(spec)
+        for _ in range(3):
+            elems = set()
+            for _ in range(rng.randint(1, 4)):
+                g = rng.randrange(1, G.order)
+                elems |= {g, G.inv(g)}
+            S = make_generating_set(G, elems, allow_nongenerating=True)
+            rows = G.translations(S.sorted_elements())
+            X = build_cayley(G, S).graph
+            edges = {(min(g, h), max(g, h)) for row in rows.tolist() for g, h in enumerate(row)}
+            reference = Graph(G.order, sorted(edges))
+            assert X == reference and X.edge_count == reference.edge_count == len(edges)
+            slots = X.neighbor_slots()
+            assert np.array_equal(slots, rows) and not slots.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                slots[0, 0] = 0
+
+
+def test_neighbor_slots_are_built_once_from_the_masks():
+    X = Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    slots = X.neighbor_slots()
+    assert slots.tolist() == [[1, 0, 0, 0, 5, 4], [2, 6, 6, 6, 6, 6], [3, 6, 6, 6, 6, 6]]
+    assert X.neighbor_slots() is slots and not slots.flags.writeable
+    assert Graph(3, []).neighbor_slots().tolist() == [[3, 3, 3]]
+    assert Graph(0, []).neighbor_slots().shape == (1, 0)
+    # a pickled graph keeps no slots and builds read-only ones again
+    G = make_group("z6")
+    C = build_cayley(G, make_generating_set(G, [1, 5, 3]))
+    Y = pickle.loads(pickle.dumps(C.graph))
+    assert Y == C.graph and not Y.neighbor_slots().flags.writeable
+    assert sorted(Y.neighbor_slots()[:, 2].tolist()) == sorted(C.graph.neighbor_slots()[:, 2].tolist())
+
+
 def _reference_graph(n, edges):
     """Everything a Graph reports, computed from a set of edge tuples and
     neighbor sets, or the ValueError message the input must raise."""

@@ -668,3 +668,84 @@ def test_group_arrays_are_read_only_after_a_pickle_round_trip(spec):
                 arr[1] = 1
         assert H.inverses.tolist() == G.inverses.tolist()
         assert H.translations(range(H.order)).tolist() == G.translations(range(G.order)).tolist()
+
+
+def _fresh_cache(monkeypatch, bound=groups._PRESENTATION_CACHE_ENTRIES):
+    cache = groups._PresentationCache(bound)
+    monkeypatch.setattr(groups, "_PRESENTATIONS", cache)
+    return cache
+
+
+def test_groups_of_one_presentation_share_read_only_arrays(monkeypatch):
+    _fresh_cache(monkeypatch)
+    G, H = make_group("z4x6"), make_group([4, 6])
+    assert G is not H
+    assert G._coords is H._coords and G.inverses is H.inverses
+    for arr in (G._coords, G.inverses):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, ...] = 1
+    # another presentation of an isomorphic group has its own arrays
+    assert make_group("z24")._coords is not G._coords
+    # a table group is not keyed by a presentation: nothing of it is cached
+    Q, R = make_group("q8"), make_group("q8")
+    assert Q.inverses is not R.inverses and Q.inverses.tolist() == R.inverses.tolist()
+
+
+def test_generation_flags_are_computed_once_per_presentation_and_members(monkeypatch):
+    cache = _fresh_cache(monkeypatch)
+    calls = []
+    real = groups._generates
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(groups, "_generates", counted)
+    G = make_group("z12")
+    first = make_generating_set(G, [2, 10, 3, 9])
+    again = make_generating_set(make_group("z12"), [9, 3, 10, 2])
+    assert first == again and calls == [4]
+    assert not make_generating_set(G, [4, 8], allow_nongenerating=True).generates
+    with pytest.raises(ValueError, match="does not generate"):
+        make_generating_set(G, [8, 4])
+    assert calls == [4, 2]
+    assert ("generates", (12,), (4, 8)) in cache._items
+
+
+def test_the_presentation_cache_drops_the_least_recently_used(monkeypatch):
+    bound = groups._PRESENTATION_CACHE_ENTRIES
+    cache = _fresh_cache(monkeypatch)
+    first = make_group([9000])._coords
+    orders = list(range(9001, 9060))
+    for i, n in enumerate(orders):
+        make_group([n])._coords
+        if i < 20:
+            assert make_group([9000])._coords is first  # kept in use, so kept
+        assert cache.entries <= bound
+    assert cache.entries == sum(size for _, size in cache._items.values()) <= bound
+    # what stays is the most recently used run of orders
+    kept = [key[1][0] for key in cache._items]
+    assert 1 < len(kept) < len(orders) and kept == orders[-len(kept):]
+
+    # a value larger than the whole bound is returned but never kept
+    small = groups._PresentationCache(10)
+    big = np.zeros(11)
+    assert small.get(("big",), lambda: big) is big and small.entries == 0
+    assert small.get(("a",), lambda: np.zeros(4)).size == 4 and small.entries == 5
+    small.get(("b",), lambda: np.zeros(4))
+    small.get(("a",), lambda: None)  # a hit: "a" becomes the most recent
+    small.get(("c",), lambda: np.zeros(4))
+    assert list(small._items) == [("a",), ("c",)] and small.entries == 10
+
+
+def test_a_cyclic_product_is_refused_as_its_order_forms(monkeypatch):
+    cache = _fresh_cache(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=(
+        r"^z2x2x2x2x2x2x2x2x2x2x2x2x2x2 \(the first 14 of 15000 moduli\) "
+        r"has 16384 elements, above the cap 10000$"
+    )):
+        make_group([2] * 15_000)
+    with pytest.raises(BudgetExceeded, match="^z100x200 has 20000 elements, above the cap 10000$"):
+        make_group("z100x200")
+    assert cache.entries == 0 and not cache._items
+    assert make_group([2] * 13).order == 8192

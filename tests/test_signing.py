@@ -452,6 +452,20 @@ def test_verify_signing_builds_no_dense_product():
     assert peak < n * n * np.dtype(np.int64).itemsize
 
 
+def test_verify_signing_keeps_int32_indices_at_the_dimension_cap():
+    # rows, columns and fan-outs of the 49,152 nonzeros take four bytes
+    # each, and no nonzero-sized int64 index array is made
+    M = huang_signing(HUANG_DIMENSION_CAP)
+    verify_signing(M, HUANG_DIMENSION_CAP)
+    tracemalloc.start()
+    try:
+        assert verify_signing(M, HUANG_DIMENSION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9e6, peak
+
+
 def test_verify_signing_memory_is_bounded_on_dense_input(monkeypatch):
     # Sylvester's H_128 has 128^3 = 2M walks; one row has 16K of them
     monkeypatch.setattr(signing, "_WALK_BLOCK", 1 << 12)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cayleydeg.groups as groups
 from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import Graph, VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import FiniteGroup, make_generating_set, make_group
@@ -220,9 +221,12 @@ def test_random_witness_suite_deterministic():
 
 
 def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatch):
-    # per instance: one table in make_generating_set, then the direction rows
-    # and the adjacency row of the certificate; a second derivation of the
-    # neighbors would show here as a count, not as a timing
+    # per instance: the direction rows and the adjacency row of the
+    # certificate, plus one table in make_generating_set for each of the 259
+    # (moduli, members) keys that a cold presentation cache has not seen yet;
+    # a second derivation of the neighbors would show here as a count, not as
+    # a timing
+    monkeypatch.setattr(groups, "_PRESENTATIONS", _fresh_cache())
     calls = []
     translations = FiniteGroup.translations
 
@@ -233,7 +237,24 @@ def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatc
     monkeypatch.setattr(FiniteGroup, "translations", counted)
     lines = random_witness_suite(count=500, seed=0)
     assert len(lines) == 500 and all(line.endswith("ok") for line in lines)
-    assert len(calls) == 1500
+    assert len(calls) == 1259
+
+
+def _fresh_cache():
+    return groups._PresentationCache(groups._PRESENTATION_CACHE_ENTRIES)
+
+
+def test_witness_suite_lines_do_not_depend_on_the_presentation_cache(monkeypatch):
+    cache = _fresh_cache()
+    monkeypatch.setattr(groups, "_PRESENTATIONS", cache)
+    cold = random_witness_suite(500, seed=0)
+    # 500 instances over few presentations: most keys repeat, and the
+    # working set stays under the bound
+    assert 0 < cache.entries <= groups._PRESENTATION_CACHE_ENTRIES
+    warm = random_witness_suite(500, seed=0)
+    pooled = random_witness_suite(500, seed=0, jobs=2)
+    assert cold == warm == pooled
+    assert _digest(cold) == "5142250dc6b2e92e0cdf13298f986cb2eaad9d83faacbd30b806b0e1da491fe0"
 
 
 def test_random_witness_suite_validates_count():
