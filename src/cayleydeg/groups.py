@@ -10,7 +10,9 @@ one numpy broadcast, come from _table_from, which indexes a listed group
 under its product.
 A table, a list of row lists as JSON spells it, is validated exactly at
 every order up to 2048 (2^22 entries; larger ones are refused before they
-are built or read); associativity by Light's test.
+are built or read); associativity by Light's test.  The dihedral array,
+built in range as intp, skips only the entry checks; every table, builtins
+included, is checked to be a group.
 A table group keeps its table as one read-only intp array; the cached
 inverses and residues are read-only too, and an unpickled group is rebuilt
 through __init__, so the arrays stay read-only in every process.  Generating
@@ -211,9 +213,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate_table(table: list[list[int]]) -> np.ndarray:
+    """The table, a list of row lists as JSON spells it, as a read-only intp
+    array, once its entries and the group axioms are checked.  The rows'
+    types are checked at C level and the range in numpy; only after a check
+    has failed are the entries scanned one by one, to name the first bad
+    row or entry."""
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table is empty")
+    for row in table:
+        if not (isinstance(row, list) and len(row) == n and set(map(type, row)) == {int}):
+            _raise_first_bad_entry(table)
+    try:
+        arr = np.array(table, dtype=np.intp)
+    except OverflowError:  # an int beyond intp is out of range too
+        _raise_first_bad_entry(table)
+    if arr.min() < 0 or arr.max() >= n:
+        _raise_first_bad_entry(table)
+    return _check_group_table(arr)
+
+
+def _raise_first_bad_entry(table: list) -> None:
+    """Name the first row that is not a list of n entries, or the first
+    entry that is not an int in 0..n-1, rows in order."""
+    n = len(table)
     for i, row in enumerate(table):
         if not isinstance(row, list):
             raise ValueError(f"table row {i} must be a list, got {type(row).__name__}")
@@ -222,7 +245,13 @@ def _validate_table(table: list[list[int]]) -> np.ndarray:
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} in row {i} is out of range")
-    arr = np.array(table, dtype=np.intp)
+
+
+def _check_group_table(arr: np.ndarray) -> np.ndarray:
+    """arr, an n x n intp table with entries in 0..n-1, made read-only once
+    it is checked to be a group: a Latin square with identity 0, two-sided
+    inverses, and associative by Light's test."""
+    n = len(arr)
     idx = np.arange(n)
 
     # Latin square: the first bad line, row i before column i
@@ -307,11 +336,11 @@ def _table_group(table: list[list[int]], name: str) -> FiniteGroup:
     return FiniteGroup(order=len(t), name=name, table=t)
 
 
-def _dihedral_table(n: int) -> list[list[int]]:
+def _dihedral_table(n: int) -> np.ndarray:
     # element f*n + k stands for s^f r^k; s r^k s = r^-k
     f1, k1, f2, k2 = np.ix_(range(2), range(n), range(2), range(n))
     k = (k2 + (1 - 2 * f2) * k1) % n
-    return ((f1 ^ f2) * n + k).reshape(2 * n, 2 * n).tolist()
+    return ((f1 ^ f2) * n + k).reshape(2 * n, 2 * n).astype(np.intp)
 
 
 def _table_from(elements: list, product) -> list[list[int]]:
@@ -407,7 +436,9 @@ def _named_group(family: str, n: int) -> FiniteGroup:
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
         check_cap("multiplication table", (2 * n) ** 2, _TABLE_ENTRY_CAP, "entries")
-        return _table_group(_dihedral_table(n), name=f"dihedral:{n}")
+        # built as an intp array with entries in range: only the group checks
+        table = _check_group_table(_dihedral_table(n))
+        return FiniteGroup(order=2 * n, name=f"dihedral:{n}", table=table)
     kind = {"sym": "symmetric", "alt": "alternating"}[family]
     if not 1 <= n <= 5:
         raise ValueError(f"{kind} groups are supported for 1 <= n <= 5, got {n}")

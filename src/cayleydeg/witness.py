@@ -36,6 +36,14 @@ neighbors of u inside U, where d = t + (number of inverse pairs) counts the
    re-verified in G (distinct neighbors, all in U, adjacent, k^2 >= d).
    Distinctness of the mapped neighbors holds because the direction
    representatives contain no inverse pair.
+
+The certificate is one kernel, _certify, that takes k subsets of one
+Cayley graph as a k x |G| membership array and runs every step above, the
+checks included, on all k rows at once, with the cube step shared with
+cube_witness.  abelian_witness is the kernel on one row;
+random_witness_suite groups its instances by (presentation, S) and
+certifies each group in one call, so a graph that many instances share
+pays the kernel's fixed cost once.
 """
 
 from __future__ import annotations
@@ -69,6 +77,10 @@ __all__ = [
 # points of a product of cycles, which is also the most vertices a listed
 # subset may range over
 DEFAULT_LIFT_CAP = _VERTEX_SET_CAP
+# most entries one rolled block of _cover_counts copies
+_SLICE_BLOCK = 1 << 16
+# above every corner key, for the cube step's argmin over its candidates
+_NO_KEY = (1 << 63) - 1
 
 
 def _membership_array(n: int, U) -> np.ndarray:
@@ -100,11 +112,31 @@ def cover_counts(moduli: Sequence[int], U) -> np.ndarray:
 
 def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
     """cover_counts for validated moduli and a flat int8 membership array;
-    int32, since no count exceeds 2^d <= DEFAULT_LIFT_CAP."""
-    acc = ind.astype(np.int32).reshape(moduli)
-    for axis in range(len(moduli)):
-        acc += np.roll(acc, -1, axis=axis)
-    return acc.reshape(-1)
+    int32, since no count exceeds 2^d <= DEFAULT_LIFT_CAP.
+
+    Each axis is added in place, never through a rolled copy of the whole
+    array.  An axis whose slices are large adds slice i + 1 into slice i in
+    ascending order, then a saved copy of the first slice into the last: at
+    most 1/m of the array extra.  An axis whose (m, post) rows are small
+    rolls blocks of whole rows, at most _SLICE_BLOCK entries each."""
+    acc = ind.astype(np.int32)
+    post = acc.size
+    for m in moduli:
+        post //= m
+        a = acc.reshape(-1, m, post)
+        if m * post <= _SLICE_BLOCK:
+            rows = _SLICE_BLOCK // (m * post)
+            for p in range(0, len(a), rows):
+                block = a[p : p + rows]
+                block += np.roll(block, -1, axis=1)
+        else:
+            for row in a:
+                first = row[0].copy()
+                for i in range(m - 1):
+                    row[i] += row[i + 1]
+                row[m - 1] += first
+                del first  # free before the next row or axis saves its own
+    return acc
 
 
 def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
@@ -120,31 +152,37 @@ def cover_shift(moduli: Sequence[int], U) -> tuple[int, int]:
 
 def _cover_shift(moduli: tuple[int, ...], ind: np.ndarray) -> tuple[int, int]:
     """cover_shift for validated moduli and a flat int8 membership array."""
-    size = _majority(ind)
-    return _best_cover(_cover_counts(moduli, ind), size, len(moduli))
+    sizes = _majority(ind[None])
+    r, best = _best_cover(_cover_counts(moduli, ind)[None], sizes, len(moduli))
+    return int(r[0]), int(best[0])
 
 
-def _majority(ind: np.ndarray) -> int:
-    """|U| for the int8 membership array of U; refuses U unless |U| > |G|/2."""
-    size = int(np.count_nonzero(ind))
-    if 2 * size <= ind.size:
+def _majority(ind: np.ndarray) -> np.ndarray:
+    """|U| for each row of a k x n int8 membership array; refuses the first
+    row whose U is not a strict majority of the n vertices."""
+    sizes = np.count_nonzero(ind, axis=1)
+    small = 2 * sizes <= ind.shape[1]
+    if small.any():
+        size = int(sizes[np.argmax(small)])
         raise ValueError(
-            f"subset has {size} of {ind.size} vertices; a strict majority is required"
+            f"subset has {size} of {ind.shape[1]} vertices; a strict majority is required"
         )
-    return size
+    return sizes
 
 
-def _best_cover(counts: np.ndarray, size: int, d: int) -> tuple[int, int]:
-    """(i, counts[i]) at the first maximum of the cover counts of a subset of
-    `size` elements along d directions, checking sum(counts) = 2^d |U| and
-    counts[i] > 2^(d-1) exactly: the covering step of both certificates."""
-    if int(counts.sum(dtype=np.int64)) != (1 << d) * size:
+def _best_cover(counts: np.ndarray, sizes: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, counts[i]) at the first maximum of each row of cover counts, for
+    k subsets of the given sizes along d directions, checking sum(counts) =
+    2^d |U| and counts[i] > 2^(d-1) exactly on every row: the covering step
+    of both certificates."""
+    if (counts.sum(axis=1, dtype=np.int64) != sizes << d).any():
         raise InvariantBreach("covering identity failed: the cover counts do not sum to 2^d |U|")
-    i = int(np.argmax(counts))  # argmax returns the first, i.e. smallest, index
-    best = int(counts[i])
-    if not best > (1 << (d - 1)):
+    i = counts.argmax(axis=1)  # argmax returns the first, i.e. smallest, index
+    best = counts[np.arange(len(counts)), i]
+    low = best <= 1 << (d - 1)
+    if low.any():
         raise InvariantBreach(
-            f"covering bound failed: best shift count {best} <= 2^{d - 1}"
+            f"covering bound failed: best shift count {best[np.argmax(low)]} <= 2^{d - 1}"
         )
     return i, best
 
@@ -185,6 +223,7 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     is treated as an internal invariant breach.
     """
     moduli, ind = _grid_indicator(moduli, U)
+    d = len(moduli)
     r, cube_points = _cover_shift(moduli, ind)
     # verts[T] is the mixed-radix index of r + e_T for every subset-mask T
     # (bit i of T is coordinate i), built by doubling so no 2^d x d table is
@@ -194,62 +233,63 @@ def cube_witness(moduli: Sequence[int], U) -> WitnessReport:
     for m, x in zip(moduli, np.unravel_index(r, moduli)):
         stride //= m
         verts = np.concatenate([verts + int(x) * stride, verts + (int(x) + 1) % m * stride])
-    u_mask, k, steps = _cube_best(len(moduli), verts, ind[verts].astype(bool), cube_points)
+    u_mask, k, has = _cube_step(d, verts[None], ind[verts].astype(bool)[None], [cube_points])
+    u_mask, k = int(u_mask[0]), int(k[0])
+    steps = [i for i in range(d) if has[0, i]]
     u = int(verts[u_mask])
     return WitnessReport(
         vertex=u,
-        neighbors=tuple(int(verts[nb_mask]) for _, _, nb_mask in steps),
+        neighbors=tuple(int(verts[u_mask ^ 1 << i]) for i in steps),
         k=k,
-        d=len(moduli),
+        d=d,
         t=sum(1 for m in moduli if m == 2),
         bound_satisfied=True,
         trace={
             "shift": r,
             "cube_points": cube_points,
             "lifted_vertex": u,
-            "signs": [(i, sign) for i, sign, _ in steps],
+            "signs": [(i, -1 if u_mask >> i & 1 else 1) for i in steps],
         },
         checks={"adjacency": True, "distinct": True, "bound": True},
     )
 
 
-def _cube_best(
-    d: int, key: np.ndarray, member: np.ndarray, cube_points: int
-) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """The hypercube half of the witness, shared by both certificates.
+def _cube_step(
+    d: int, key: np.ndarray, member: np.ndarray, cube_points
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hypercube half of the witness, shared by both certificates, on
+    k cube copies at once.
 
-    key[T] orders the d-cube corner with subset-mask T as its lifted index
-    does, and member[T] says whether that corner lies in the subset.  Returns
-    (u_mask, k, steps): the member of maximum induced cube degree k (ties to
-    the smallest key) and one (i, sign, neighbor mask) step per in-subset
-    cube neighbor, in direction order.
+    Row r of key orders the d-cube corners, subset-mask T at column T, as
+    their lifted indices do, and row r of member says which corners lie in
+    subset r, which cube_points[r] counts.  Returns (u_mask, deg, has): the
+    member of maximum induced cube degree in each row (ties to the smallest
+    key), that degree, and a k x d array whose entry i says whether the
+    corner u_mask ^ 2^i is in the subset too, one step per direction.  The
+    degrees add one direction at a time, by swapping the halves of an axis
+    of length 2, so no index table of the corners is built.
     """
-    if int(member.sum()) != cube_points:
+    if (member.sum(axis=1) != cube_points).any():
         raise InvariantBreach("cube membership count disagrees with cover count")
 
-    size = 1 << d
-    idx = np.arange(size, dtype=np.int64)
-    deg = np.zeros(size, dtype=np.int32)
+    deg = np.zeros(member.shape, dtype=np.int32)
     for i in range(d):
-        deg += member[idx ^ (1 << i)]
-    deg_members = np.where(member, deg, -1)
-    k = int(deg_members.max())
-    if k * k < d:
+        shape = (len(member), -1, 2, 1 << i)  # axis 2 is bit i of T
+        view = deg.reshape(shape)
+        view += member.reshape(shape)[:, :, ::-1]
+    deg = np.where(member, deg, -1)
+    best = deg.max(axis=1)
+    low = best * best < d
+    if low.any():
         raise InvariantBreach(
-            f"max induced cube degree {k} fails k^2 >= d for d = {d}"
+            f"max induced cube degree {best[np.argmax(low)]} fails k^2 >= d for d = {d}"
         )
 
-    cand = np.flatnonzero(deg_members == k)
-    u_mask = int(cand[np.argmin(key[cand])])
-
-    steps = []
-    for i in range(d):
-        nb_mask = u_mask ^ (1 << i)
-        if member[nb_mask]:
-            steps.append((i, -1 if (u_mask >> i) & 1 else 1, nb_mask))
-    if len(steps) != k:
+    u_mask = np.where(deg == best[:, None], key, _NO_KEY).argmin(axis=1)
+    has = member[np.arange(len(member))[:, None], u_mask[:, None] ^ (1 << np.arange(d))]
+    if (has.sum(axis=1) != best).any():
         raise InvariantBreach("neighbor reconstruction disagrees with cube degree")
-    return u_mask, k, steps
+    return u_mask, best, has
 
 
 @dataclass(frozen=True)
@@ -349,6 +389,9 @@ def _least_preimage_order(
         radices.append(q)
     if listed.size != G.order or not in_h.all() or any(m % q for q in radices):
         raise InvariantBreach("lift fibers are not uniform despite a generating set")
+    # cached as int16, like the residues: every index is below
+    # MAX_GROUP_ORDER < 2^15
+    listed = listed.astype(np.int16)
     listed.flags.writeable = False
     return listed, tuple(reversed(radices))
 
@@ -365,129 +408,190 @@ def abelian_witness(G: FiniteGroup, S: GeneratingSet, U) -> WitnessReport:
     DEFAULT_LIFT_CAP, are the only budget.  For each chosen direction the +1
     sign is preferred when both neighbors u +- s_i are in U.  The neighbors
     are re-verified: membership in U, pairwise distinctness, adjacency via
-    the group operation, and the exact bound k^2 >= d.
+    the group operation, and the exact bound k^2 >= d.  This is the
+    certificate kernel _certify on one row.
     """
     if not G.moduli:
         raise ValueError("abelian witnesses require a cyclic-product group")
     check_cap("witness cube", 1 << S.d, DEFAULT_LIFT_CAP, "corners")
-    u_ind = _membership_array(G.order, U)
-    size = _majority(u_ind)
+    return _certify(G, S, _membership_array(G.order, U)[None])[0]
+
+
+def _certify(G: FiniteGroup, S: GeneratingSet, ind: np.ndarray) -> list[WitnessReport]:
+    """abelian_witness for every row of ind, a k x |G| int8 membership array
+    of k subsets of one Cayley graph, for a cyclic product G whose 2^d cube
+    corners are within DEFAULT_LIFT_CAP.
+
+    Every step runs on all k rows together: the box sums, the first maximum
+    in least-preimage order, the cube corners and their keys, the cube step,
+    the signs and every re-verification.  One translation table is read per
+    call, the rows of S: the direction rows are among them, and the
+    adjacency check reads the neighbors u + s of each row's vertex there.
+    """
+    sizes = _majority(ind)
     m, d = _check_lift(G, S)
-    images = S.images()
-    rows = G.translations(images)
+    images, members = S.images(), S.sorted_elements()
+    table = G.translations(members)
+    rows = table[[members.index(s) for s in images]]
     listed, radices = G._shared(
         "least preimage order", lambda: _least_preimage_order(G, images, m), images)
 
-    counts = u_ind.astype(np.int64)
+    counts = ind.astype(np.int32)
     for row in rows:
-        counts += counts[row]
+        counts += counts[:, row]
     # listed is a permutation of G, so the first maximum has the least preimage
-    p, cube_points = _best_cover(counts[listed], size, d)
-    digits = [int(x) for x in np.unravel_index(p, radices)]
-    r = sum(x * m ** (d - 1 - j) for j, x in enumerate(digits))
+    p, cube_points = _best_cover(counts[:, listed], sizes, d)
+    digits = np.array(np.unravel_index(p, radices))  # d x k
 
-    # key orders the corners as their lifted indices do: bit j of corner T
-    # raises digit j, unless that digit is m - 1 and wraps to 0
-    corners = listed[p : p + 1]
-    key = np.zeros(1, dtype=np.int64)
-    for j, row in enumerate(rows):
-        corners = np.concatenate([corners, row[corners]])
-        w = 1 << (d - 1 - j)
-        lo, hi = (w, 0) if digits[j] == m - 1 else (0, w)
-        key = np.concatenate([key + lo, key + hi])
-    u_mask, k, steps = _cube_best(d, key, u_ind[corners].astype(bool), cube_points)
-    h = sum((x + (u_mask >> j & 1)) % m * m ** (d - 1 - j) for j, x in enumerate(digits))
-    u = int(corners[u_mask])
+    # corner T of a cube copy carries direction j at bit d-1-j, the place of
+    # digit j, so the order of the corners' lifted indices is T with the
+    # bits of the digits at m - 1 flipped: raising those wraps them to 0
+    bit = 1 << np.arange(d - 1, -1, -1)
+    key = np.arange(1 << d) ^ (bit[:, None] * (digits == m - 1)).sum(axis=0)[:, None]
+    corners = listed[p][:, None]
+    for row in rows[::-1]:
+        corners = np.concatenate([corners, row[corners]], axis=1)
+    every = np.arange(len(ind))[:, None]
+    in_subset = ind.view(bool)  # the rows hold 0 and 1
+    u_mask, k, has = _cube_step(d, key, in_subset[every, corners], cube_points)
+    has = has[:, ::-1]  # in direction order
+    u = corners[every[:, 0], u_mask]
 
-    signs, neighbors = [], []
-    for i, _, nb_mask in steps:
-        # corners[nb_mask] is u - s_i whenever u + s_i is not in U
-        plus = int(rows[i, u])
-        sign, v = (1, plus) if u_ind[plus] else (-1, int(corners[nb_mask]))
-        signs.append((i, sign))
-        neighbors.append(v)
+    # the corner across direction j is u - s_j whenever u + s_j is not in U
+    plus = rows[:, u].T
+    plus_in = in_subset[every, plus]
+    nbrs = np.where(plus_in, plus, corners[every, u_mask[:, None] ^ bit])
 
-    checks = {}
-    checks["distinct"] = len(set(neighbors)) == k and u not in neighbors
-    in_u = all(u_ind[v] for v in (u, *neighbors))
+    # u and the neighbors, with distinct negative placeholders for the
+    # steps not taken, are distinct (each equals itself only), and are all
+    # in U
+    listed_nbrs = np.concatenate([np.where(has, nbrs, -1 - np.arange(d)), u[:, None]], axis=1)
+    distinct = (listed_nbrs[:, :, None] == listed_nbrs[:, None, :]).sum(axis=(1, 2)) == d + 1
+    in_u = in_subset[every, np.where(listed_nbrs < 0, u[:, None], listed_nbrs)].all(axis=1)
     # the Cayley neighbors of u are s*u = u*s for s in S
-    adjacency = set(neighbors) <= set(G.translations([u])[0, S.sorted_elements()].tolist())
-    checks["adjacency"] = bool(adjacency and in_u)
-    checks["bound"] = k * k >= d
-    if not all(checks.values()):
-        failed = [name for name, ok in checks.items() if not ok]
-        raise InvariantBreach(f"witness verification failed: {', '.join(failed)}")
+    adjacent = ((nbrs[:, :, None] == table[:, u].T[:, None, :]).any(axis=2) | ~has).all(axis=1)
+    checks = {"distinct": distinct, "adjacency": adjacent & in_u, "bound": k * k >= d}
+    failed = ~(checks["distinct"] & checks["adjacency"] & checks["bound"])
+    if failed.any():
+        r = int(np.argmax(failed))
+        names = [name for name, ok in checks.items() if not ok[r]]
+        raise InvariantBreach(f"witness verification failed: {', '.join(names)}")
 
-    return WitnessReport(
-        vertex=u,
-        neighbors=tuple(neighbors),
-        k=k,
-        d=d,
-        t=S.t,
-        bound_satisfied=True,
-        trace={
-            "shift": r,
-            "cube_points": cube_points,
-            "lifted_vertex": h,
-            "signs": signs,
-        },
-        checks=checks,
-    )
+    places = [m ** (d - 1 - j) for j in range(d)]
+    reports = []
+    for dg, um, v, deg, points, took, nb, up in zip(
+        digits.T.tolist(), u_mask.tolist(), u.tolist(), k.tolist(),
+        cube_points.tolist(), has.tolist(), nbrs.tolist(), plus_in.tolist(),
+    ):
+        steps = [i for i in range(d) if took[i]]
+        reports.append(WitnessReport(
+            vertex=v,
+            neighbors=tuple(nb[i] for i in steps),
+            k=deg,
+            d=d,
+            t=S.t,
+            bound_satisfied=True,
+            trace={
+                "shift": sum(x * w for x, w in zip(dg, places)),
+                "cube_points": points,
+                "lifted_vertex": sum(
+                    (x + (um >> (d - 1 - j) & 1)) % m * w for j, (x, w) in enumerate(zip(dg, places))),
+                "signs": [(i, 1 if up[i] else -1) for i in steps],
+            },
+            checks={"distinct": True, "adjacency": True, "bound": True},
+        ))
+    return reports
 
 
-def _suite_worker(item: tuple[int, int]) -> str:
-    """One randomized instance: build, certify, and describe it on one line."""
-    index, seed = item
-    rng = random.Random(f"{seed}:{index}")
-    # every 25th instance allows a larger lift source m^d, which the
-    # certificate never builds
-    size_target = (1 << 20) if index % 25 == 24 else (1 << 16)
+def _suite_block(block: tuple[int, int, int]) -> list[str]:
+    """Instances start..stop-1 of a suite: draw each, then certify them one
+    Cayley graph at a time, and describe each on one line.
 
-    while True:
-        k = rng.randint(1, 3)
-        moduli = [rng.randint(2, 8) for _ in range(k)]
-        m = math.lcm(*moduli)
-        d_max = int(math.log(size_target) / math.log(m))
-        if d_max >= k:
-            break
+    Instance I draws exactly what it would alone, from Random(f"{seed}:{I}").
+    Within the block a presentation's group and basis are built once.  Each
+    instance appends its index and its subset, as packed bits, to the
+    records of its (presentation, S) key.  Then each key's GeneratingSet
+    is validated once, its subsets are certified in one _certify call, and
+    its reports are dropped once its lines are written.
+    """
+    start, stop, seed = block
+    presentations: dict[tuple[int, ...], tuple] = {}
+    keys: dict[tuple, bytearray] = {}
+    for index in range(start, stop):
+        rng = random.Random(f"{seed}:{index}")
+        # every 25th instance allows a larger lift source m^d, which the
+        # certificate never builds
+        size_target = (1 << 20) if index % 25 == 24 else (1 << 16)
 
-    G = make_group(moduli)
-    inverses = G.inverses.tolist()
-    elems = set()
-    for i in range(k):
-        g = G.encode([1 if j == i else 0 for j in range(k)])
-        elems |= {g, inverses[g]}
-    # extras keep m^d under the size target: each unit adds at most one image
-    room = min(2, d_max - k)
-    n_extra = rng.randint(0, room) if room > 0 else 0
-    if n_extra:
-        pool = [g for g in range(1, G.order) if g not in elems]
-        rng.shuffle(pool)
-        for g in pool[:n_extra]:
-            elems |= {g, inverses[g]}
+        while True:
+            k = rng.randint(1, 3)
+            moduli = tuple(rng.randint(2, 8) for _ in range(k))
+            m = math.lcm(*moduli)
+            d_max = int(math.log(size_target) / math.log(m))
+            if d_max >= k:
+                break
 
-    S = make_generating_set(G, sorted(elems))
-    U = sorted(rng.sample(range(G.order), G.order // 2 + 1))
-    rep = abelian_witness(G, S, U)
+        if moduli not in presentations:
+            G = make_group(moduli)
+            basis = set()
+            for i in range(k):
+                g = G.encode([1 if j == i else 0 for j in range(k)])
+                basis |= {g, G.inv(g)}
+            presentations[moduli] = G, basis
+        G, basis = presentations[moduli]
+        elems = set(basis)
+        # extras keep m^d under the size target: each unit adds at most one image
+        room = min(2, d_max - k)
+        n_extra = rng.randint(0, room) if room > 0 else 0
+        if n_extra:
+            pool = [g for g in range(1, G.order) if g not in basis]
+            rng.shuffle(pool)
+            for g in pool[:n_extra]:
+                elems |= {g, G.inv(g)}
 
-    if 2 * rep.k * rep.k < S.size + S.t:
-        raise InvariantBreach(
-            f"instance {index}: 2k^2 = {2 * rep.k * rep.k} < |S| + t = {S.size + S.t}"
-        )
-    gens = ",".join(map(str, S.sorted_elements()))
-    return (
-        f"{index:04d} group={G.name} S=[{gens}] |U|={len(U)} "
-        f"u={rep.vertex} k={rep.k} d={rep.d} t={rep.t} ok"
-    )
+        # a group is hashed by identity, and one is built per presentation
+        key = G, tuple(sorted(elems))
+        records = keys.get(key)
+        if records is None:
+            records = keys[key] = bytearray()
+        # distinct members, so the sum of their bits is the packed subset
+        bits = sum(map((1).__lshift__, rng.sample(range(G.order), G.order // 2 + 1)))
+        records += index.to_bytes(8, "little") + bits.to_bytes((G.order + 7) // 8, "little")
+
+    lines = [""] * (stop - start)
+    while keys:
+        key = next(iter(keys))
+        records = keys.pop(key)
+        G, members = key
+        S = make_generating_set(G, members)
+        record = np.dtype([("index", "<i8"), ("bits", np.uint8, (G.order + 7) // 8)])
+        rows = np.frombuffer(records, dtype=record)
+        ind = np.unpackbits(rows["bits"], axis=1, count=G.order, bitorder="little").view(np.int8)
+        gens = ",".join(map(str, members))
+        for index, rep in zip(rows["index"].tolist(), _certify(G, S, ind)):
+            if 2 * rep.k * rep.k < S.size + S.t:
+                raise InvariantBreach(
+                    f"instance {index}: 2k^2 = {2 * rep.k * rep.k} < |S| + t = {S.size + S.t}"
+                )
+            lines[index - start] = (
+                f"{index:04d} group={G.name} S=[{gens}] |U|={G.order // 2 + 1} "
+                f"u={rep.vertex} k={rep.k} d={rep.d} t={rep.t} ok"
+            )
+    return lines
 
 
 def random_witness_suite(count: int = 200, seed: int = 0, jobs: int = 1) -> list[str]:
     """Certify `count` random abelian instances; returns one report line each.
 
-    Instance I is derived from (seed, I) alone, so the output is identical
-    for any job count.  Any failed certificate raises InvariantBreach.
+    Instance I is derived from (seed, I) alone.  The instances are cut into
+    one contiguous block per job, and each block certifies its subsets one
+    (presentation, S) key at a time; a certificate reads nothing but its own
+    row, so the lines are identical for any job count.  Any failed
+    certificate raises InvariantBreach.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    items = [(i, seed) for i in range(count)]
-    return parallel_map(_suite_worker, items, jobs)
+    blocks = max(1, min(jobs or 1, count))
+    bounds = [count * b // blocks for b in range(blocks + 1)]
+    items = [(bounds[b], bounds[b + 1], seed) for b in range(blocks)]
+    return [line for lines in parallel_map(_suite_block, items, jobs) for line in lines]

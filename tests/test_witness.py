@@ -221,11 +221,11 @@ def test_random_witness_suite_deterministic():
 
 
 def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatch):
-    # per instance: the direction rows and the adjacency row of the
-    # certificate, plus one table in make_generating_set for each of the 259
-    # (moduli, members) keys that a cold presentation cache has not seen yet;
-    # a second derivation of the neighbors would show here as a count, not as
-    # a timing
+    # the 500 instances fall under 259 (moduli, members) keys, and each key
+    # reads two tables: the rows of S, once per certificate call, which
+    # certifies all of the key's subsets, and one in make_generating_set,
+    # which a cold presentation cache has not seen yet; a second derivation
+    # of the neighbors would show here as a count, not as a timing
     monkeypatch.setattr(groups, "_PRESENTATIONS", _fresh_cache())
     calls = []
     translations = FiniteGroup.translations
@@ -237,7 +237,7 @@ def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatc
     monkeypatch.setattr(FiniteGroup, "translations", counted)
     lines = random_witness_suite(count=500, seed=0)
     assert len(lines) == 500 and all(line.endswith("ok") for line in lines)
-    assert len(calls) == 1259
+    assert len(calls) == 518
 
 
 def _fresh_cache():
@@ -255,6 +255,29 @@ def test_witness_suite_lines_do_not_depend_on_the_presentation_cache(monkeypatch
     pooled = random_witness_suite(500, seed=0, jobs=2)
     assert cold == warm == pooled
     assert _digest(cold) == "5142250dc6b2e92e0cdf13298f986cb2eaad9d83faacbd30b806b0e1da491fe0"
+
+
+def test_witness_suite_lines_do_not_depend_on_blocks_or_keys():
+    # a shorter suite is a prefix of a longer one at any job count: the
+    # blocks and the grouping by (presentation, S) key never change a line
+    full = random_witness_suite(150, seed=5)
+    for count in (1, 26, 101):
+        for jobs in (1, 3):
+            assert random_witness_suite(count, seed=5, jobs=jobs) == full[:count], (count, jobs)
+
+
+def test_witness_suite_memory_holds_packed_subsets(monkeypatch):
+    # the subsets wait for their key as packed bits, and each key's reports
+    # are dropped once its lines are written
+    monkeypatch.setattr(groups, "_PRESENTATIONS", _fresh_cache())
+    tracemalloc.start()
+    try:
+        lines = random_witness_suite(5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 5000
+    assert peak < 3.2 * (1 << 20)
 
 
 def test_random_witness_suite_validates_count():
@@ -489,6 +512,75 @@ def test_abelian_witness_matches_the_lifted_oracle():
     assert max(lifts) > 1 << 20 and min(lifts) == 2
 
 
+def _rows(n, subsets):
+    ind = np.zeros((len(subsets), n), dtype=np.int8)
+    for r, U in enumerate(subsets):
+        ind[r, list(U)] = 1
+    return ind
+
+
+def _kernel_batches():
+    """Seeded (G, S, subsets, cap) batches of one Cayley graph each: keys
+    with one subset and with hundreds, one subset repeated in every row,
+    the full set among majority subsets, and d = 1 on a long cycle."""
+    rng = random.Random("kernel")
+    for count in (1, 1, 1, 2, 5, 40, 300):
+        while True:
+            moduli = [rng.randint(2, 8) for _ in range(rng.randint(1, 3))]
+            G = make_group(moduli)
+            elems = set()
+            for j in range(len(moduli)):
+                g = G.encode([1 if k == j else 0 for k in range(len(moduli))])
+                elems |= {g, G.inv(g)}
+            for _ in range(rng.randint(0, 2)):
+                g = rng.randrange(1, G.order)
+                elems |= {g, G.inv(g)}
+            S = make_generating_set(G, sorted(elems))
+            # the large batches get at least three directions
+            if math.lcm(*moduli) ** S.d <= 1 << 16 and S.d >= min(count, 3):
+                break
+        subsets = [
+            rng.sample(range(G.order), rng.randint(G.order // 2 + 1, G.order))
+            for _ in range(count)
+        ]
+        yield G, S, subsets, 1 << 16
+    G = make_group([2, 2, 2])
+    S = make_generating_set(G, range(1, 8))
+    yield G, S, [range(8), [0, 1, 2, 3, 7]] + [[1, 2, 4, 7, 6]] * 30, 1 << 14
+    G = make_group([6, 4])
+    S = make_generating_set(G, [1, 3, 4, 20, 5, 23])
+    U = rng.sample(range(24), 13)
+    yield G, S, [U] * 200, 1 << 18
+    G = make_group([997])
+    S = make_generating_set(G, [3, 994])
+    yield G, S, [rng.sample(range(997), 499 + 50 * i) for i in range(10)] + [range(997)], 1 << 12
+
+
+def test_certificate_kernel_matches_one_subset_at_a_time():
+    # every row of a batch gets the whole report that abelian_witness gives
+    # its subset alone, and that the tabulated lift gives
+    import cayleydeg.witness as witness
+
+    sizes = []
+    for G, S, subsets, cap in _kernel_batches():
+        got = witness._certify(G, S, _rows(G.order, subsets))
+        assert got == [abelian_witness(G, S, U) for U in subsets], (G.name, S)
+        for r in range(0, len(subsets), max(1, len(subsets) // 7)):
+            assert got[r].to_json() == _lifted_witness(G, S, subsets[r], cap).to_json()
+        sizes.append(len(subsets))
+    assert min(sizes) == 1 and max(sizes) == 300
+
+
+def test_certificate_kernel_refuses_any_minority_row():
+    import cayleydeg.witness as witness
+
+    G = make_group([6, 2])
+    S = make_generating_set(G, [2, 10, 1, 6])
+    ind = _rows(12, [range(7), range(12), range(6), range(5)])
+    with pytest.raises(ValueError, match="^subset has 6 of 12 vertices; a strict majority is required$"):
+        witness._certify(G, S, ind)
+
+
 def test_abelian_witness_work_does_not_grow_with_the_lift():
     # z8x8 with d = 7 directions: a 2^21-point lift, under the default cap
     G = make_group([8, 8])
@@ -593,7 +685,7 @@ def test_cube_inputs_are_refused_before_allocation():
 
 
 def test_cover_counts_at_the_cap_take_four_bytes_a_point():
-    # no count exceeds 2^d <= 2^22, so they are int32: 16 MB at the cap
+    # no count exceeds 2^d <= 2^22, so they are int32: 16 MiB at the cap
     tracemalloc.start()
     try:
         counts = cover_counts([2] * 22, [0])
@@ -601,7 +693,8 @@ def test_cover_counts_at_the_cap_take_four_bytes_a_point():
     finally:
         tracemalloc.stop()
     assert counts.dtype == np.int32 and int(counts.sum()) == 1 << 22
-    assert peak <= 40 << 20
+    # the counts, the int8 indicator and one saved slice of half the points
+    assert peak < 30 << 20
 
 
 def test_numpy_integer_members_match_their_list():
