@@ -77,8 +77,6 @@ __all__ = [
 # points of a product of cycles, which is also the most vertices a listed
 # subset may range over
 DEFAULT_LIFT_CAP = _VERTEX_SET_CAP
-# most entries one rolled block of _cover_counts copies
-_SLICE_BLOCK = 1 << 16
 # above every corner key, for the cube step's argmin over its candidates
 _NO_KEY = (1 << 63) - 1
 
@@ -115,27 +113,18 @@ def _cover_counts(moduli: tuple[int, ...], ind: np.ndarray) -> np.ndarray:
     int32, since no count exceeds 2^d <= DEFAULT_LIFT_CAP.
 
     Each axis is added in place, never through a rolled copy of the whole
-    array.  An axis whose slices are large adds slice i + 1 into slice i in
-    ascending order, then a saved copy of the first slice into the last: at
-    most 1/m of the array extra.  An axis whose (m, post) rows are small
-    rolls blocks of whole rows, at most _SLICE_BLOCK entries each."""
+    array: slice i + 1 into slice i in ascending order, then a saved copy
+    of the first slice into the last, so at most 1/m of the array extra."""
     acc = ind.astype(np.int32)
     post = acc.size
     for m in moduli:
         post //= m
         a = acc.reshape(-1, m, post)
-        if m * post <= _SLICE_BLOCK:
-            rows = _SLICE_BLOCK // (m * post)
-            for p in range(0, len(a), rows):
-                block = a[p : p + rows]
-                block += np.roll(block, -1, axis=1)
-        else:
-            for row in a:
-                first = row[0].copy()
-                for i in range(m - 1):
-                    row[i] += row[i + 1]
-                row[m - 1] += first
-                del first  # free before the next row or axis saves its own
+        first = a[:, 0].copy()
+        for i in range(m - 1):
+            a[:, i] += a[:, i + 1]
+        a[:, m - 1] += first
+        del first  # free before the next axis saves its own
     return acc
 
 
@@ -424,15 +413,15 @@ def _certify(G: FiniteGroup, S: GeneratingSet, ind: np.ndarray) -> list[WitnessR
 
     Every step runs on all k rows together: the box sums, the first maximum
     in least-preimage order, the cube corners and their keys, the cube step,
-    the signs and every re-verification.  One translation table is read per
-    call, the rows of S: the direction rows are among them, and the
-    adjacency check reads the neighbors u + s of each row's vertex there.
+    the signs and every re-verification.  Two translation tables are read
+    per call: the direction rows, from which the cube corners and the
+    neighbors are taken, and, for the adjacency check, the rows of all of
+    S, a read of its own.
     """
     sizes = _majority(ind)
     m, d = _check_lift(G, S)
     images, members = S.images(), S.sorted_elements()
-    table = G.translations(members)
-    rows = table[[members.index(s) for s in images]]
+    rows = G.translations(images)
     listed, radices = G._shared(
         "least preimage order", lambda: _least_preimage_order(G, images, m), images)
 
@@ -469,7 +458,8 @@ def _certify(G: FiniteGroup, S: GeneratingSet, ind: np.ndarray) -> list[WitnessR
     distinct = (listed_nbrs[:, :, None] == listed_nbrs[:, None, :]).sum(axis=(1, 2)) == d + 1
     in_u = in_subset[every, np.where(listed_nbrs < 0, u[:, None], listed_nbrs)].all(axis=1)
     # the Cayley neighbors of u are s*u = u*s for s in S
-    adjacent = ((nbrs[:, :, None] == table[:, u].T[:, None, :]).any(axis=2) | ~has).all(axis=1)
+    around = G.translations(members)[:, u].T
+    adjacent = ((nbrs[:, :, None] == around[:, None, :]).any(axis=2) | ~has).all(axis=1)
     checks = {"distinct": distinct, "adjacency": adjacent & in_u, "bound": k * k >= d}
     failed = ~(checks["distinct"] & checks["adjacency"] & checks["bound"])
     if failed.any():

@@ -222,10 +222,11 @@ def test_random_witness_suite_deterministic():
 
 def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatch):
     # the 500 instances fall under 259 (moduli, members) keys, and each key
-    # reads two tables: the rows of S, once per certificate call, which
-    # certifies all of the key's subsets, and one in make_generating_set,
-    # which a cold presentation cache has not seen yet; a second derivation
-    # of the neighbors would show here as a count, not as a timing
+    # reads three tables: the direction rows and the adjacency rows of its
+    # one certificate call, which certifies all of the key's subsets, and
+    # one in make_generating_set, which a cold presentation cache has not
+    # seen yet; a second derivation of the neighbors would show here as a
+    # count, not as a timing
     monkeypatch.setattr(groups, "_PRESENTATIONS", _fresh_cache())
     calls = []
     translations = FiniteGroup.translations
@@ -237,7 +238,7 @@ def test_abelian_witness_reads_two_translation_tables_per_certificate(monkeypatc
     monkeypatch.setattr(FiniteGroup, "translations", counted)
     lines = random_witness_suite(count=500, seed=0)
     assert len(lines) == 500 and all(line.endswith("ok") for line in lines)
-    assert len(calls) == 518
+    assert len(calls) == 777
 
 
 def _fresh_cache():
@@ -569,6 +570,27 @@ def test_certificate_kernel_matches_one_subset_at_a_time():
             assert got[r].to_json() == _lifted_witness(G, S, subsets[r], cap).to_json()
         sizes.append(len(subsets))
     assert min(sizes) == 1 and max(sizes) == 300
+
+
+def test_certificate_adjacency_is_checked_on_a_separate_read(monkeypatch):
+    # skew the direction rows to g + s + 2: the cube, the covering identity
+    # and the neighbors all stay consistent with the skewed rows, so only
+    # the adjacency check, which reads u's own translations, can see it
+    import cayleydeg.witness as witness
+
+    G = make_group([15])
+    S = make_generating_set(G, [1, 14])
+    translations = FiniteGroup.translations
+
+    def skewed(self, elems):
+        rows = translations(self, elems)
+        if isinstance(elems, tuple) and elems == S.images():
+            return (rows + 2) % self.order
+        return rows
+
+    monkeypatch.setattr(FiniteGroup, "translations", skewed)
+    with pytest.raises(InvariantBreach, match="^witness verification failed: adjacency$"):
+        witness._certify(G, S, _rows(15, [range(8), range(3, 12)]))
 
 
 def test_certificate_kernel_refuses_any_minority_row():
