@@ -21,15 +21,18 @@ membership rows and counts induced degrees as sums of the rows that each
 vertex's neighbor slots index (Graph.neighbor_slots), so its memory is
 bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
 keeps its include/exclude search on an explicit stack, so its depth is not
-bounded by Python's recursion limit.  The heuristic keeps the degree of
-every vertex into the current subset and scores each candidate swap from
-that vector in O(1).  It stops as soon as its best subset meets a lower
-bound on f read off the sorted degrees d_1 <= ... <= d_n and the edge count
-e (_degree_floor): the largest of 0, d_s - (n - s) and
+bounded by Python's recursion limit, and keeps the mask of members already
+at the target degree, so it refuses an inclusion with one AND.  The
+heuristic keeps the degree of every vertex into the current subset and
+scores each candidate swap from that vector in O(1).  It stops as soon as
+its best subset meets a lower bound on f: the larger of the caller's
+lower_bound and the bound read off the sorted degrees d_1 <= ... <= d_n and
+the edge count e (_degree_floor), the largest of 0, d_s - (n - s) and
 ceil(2 (e - d_{s+1} - ... - d_n) / s).  Its best subset changes only on a
 strict decrease, which no subset can then make, so the rest of the budget
 could not change its result.  At s = n that bound is the max degree itself,
-so the one subset is evaluated once.
+so the one subset is evaluated once.  The agreement suite passes the exact f
+it has just computed as that lower bound.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,6 +199,7 @@ def min_max_degree(
     subsets through vertex 0 are scanned.  Refuses to start if the number of
     subsets exceeds budget or int64.
     """
+    s, budget = operator.index(s), operator.index(budget)
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
     pool, k = (X.n - 1, s - 1) if contains_zero else (X.n, s)
@@ -229,10 +234,22 @@ def branch_and_bound(
 
     Vertices are branched in index order, include before exclude, on an
     explicit stack (no recursion, so any n works).  A branch dies when some
-    committed vertex already exceeds target induced degree (degrees only
-    grow as vertices are added) or when the remaining vertices cannot fill
-    the subset.  If the node budget runs out the result is 'undecided'.
+    committed vertex would exceed target induced degree (degrees only grow
+    as vertices are added) or when the remaining vertices cannot fill the
+    subset.  If the node budget runs out the result is 'undecided'.
+
+    The mask sat holds the members whose induced degree already equals
+    target, so a vertex can join exactly when it has at most target
+    neighbours in the subset and none of them is in sat: one AND, not a
+    walk over its neighbours.  Only the joining vertex and its neighbours
+    change degree, so including it re-counts just their degrees to extend
+    sat, and undoing it restores mask and sat from its stack frame in O(1).
     """
+    s, target = operator.index(s), operator.index(target)
+    if node_budget is not None:
+        node_budget = operator.index(node_budget)
+        if node_budget < 0:
+            raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if not 0 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 0..{X.n}")
     if target < 0:
@@ -242,12 +259,11 @@ def branch_and_bound(
 
     adj = X.adj_masks
     n = X.n
-    degs = [0] * n
     nodes = 0
-    # one frame per included vertex, innermost last: (vertex, neighbours
-    # whose degree it raised); excluding a vertex needs no frame
-    stack: list[tuple[int, list[int]]] = []
-    idx = count = mask = 0
+    # one frame per included vertex, innermost last: (vertex, sat before it
+    # joined); excluding a vertex needs no frame
+    stack: list[tuple[int, int]] = []
+    idx = count = mask = sat = 0
     while count < s:
         if idx < n and count + (n - idx) >= s:
             nodes += 1
@@ -255,34 +271,23 @@ def branch_and_bound(
                 return BnBOutcome("undecided", None, nodes)
             nbrs = adj[idx] & mask
             newdeg = nbrs.bit_count()
-            if newdeg <= target:
-                bumped = []
-                m = nbrs
-                while m:
-                    low = m & -m
-                    j = low.bit_length() - 1
-                    if degs[j] + 1 > target:
-                        break
-                    bumped.append(j)
-                    m ^= low
-                if not m:  # every neighbour stays within target: include
-                    for j in bumped:
-                        degs[j] += 1
-                    degs[idx] = newdeg
-                    stack.append((idx, bumped))
-                    mask |= 1 << idx
-                    count += 1
-                    idx += 1
-                    continue
-            idx += 1  # exclude
+            if newdeg <= target and not nbrs & sat:  # include
+                stack.append((idx, sat))
+                mask |= 1 << idx
+                if newdeg == target:
+                    sat |= 1 << idx
+                while nbrs:  # each was below target and gains one
+                    low = nbrs & -nbrs
+                    if (adj[low.bit_length() - 1] & mask).bit_count() == target:
+                        sat |= low
+                    nbrs ^= low
+                count += 1
+            idx += 1  # past the vertex just included, or exclude it
             continue
         # dead end: undo the innermost inclusion and take its exclude branch
         if not stack:
             return BnBOutcome("false", None, nodes)
-        j, bumped = stack.pop()
-        degs[j] = 0
-        for b in bumped:
-            degs[b] -= 1
+        j, sat = stack.pop()
         mask ^= 1 << j
         count -= 1
         idx = j + 1
@@ -307,6 +312,7 @@ def heuristic_search(
     s: int,
     seed: int = 0,
     budget: int = 10_000,
+    lower_bound: int = 0,
 ) -> ExtremalResult:
     """Seeded local search over size-s subsets; an upper bound on f.
 
@@ -314,13 +320,19 @@ def heuristic_search(
     in, both ascending) by the pair (induced max degree, induced degree sum)
     and moves to the first best strict improvement of that pair; restarts
     from fresh random subsets until the evaluation budget is spent, or until
-    the best max degree found meets the floor of _degree_floor, the largest
-    of 0, d_s - (n - s) and ceil(2 (e - d_{s+1} - ... - d_n) / s).
+    the best max degree found meets the stop value: the larger of
+    lower_bound and the floor of _degree_floor, the largest of 0,
+    d_s - (n - s) and ceil(2 (e - d_{s+1} - ... - d_n) / s).
     Deterministic for a fixed seed.
 
-    The early stop never changes the result: the best subset is replaced
-    only on a strict decrease of its max degree, which cannot go below a
-    lower bound on f, and the random generator is local to the call.
+    The early stop never changes the result while lower_bound <= f: the
+    best subset is replaced only on a strict decrease of its max degree,
+    which cannot go below a lower bound on f, and the random generator is
+    local to the call.  So a caller that holds f, or a certified bound on
+    it, passes it as lower_bound, and the search ends the moment it gets
+    there.  A lower_bound above f may stop at a worse subset, whose max
+    degree is still an upper bound on f; one of s - 1 or more, which every
+    s-subset meets, stops after the first subset drawn.
 
     A swap is scored in O(1) from the degree vector deg[v] = |adj(v) & U|,
     kept for every vertex and updated in O(n) per move.  Once per u, top is
@@ -330,6 +342,7 @@ def heuristic_search(
     sum(U) - 2 deg[u] + 2 (deg[w] - [w~u]).  At s = n the floor is the max
     degree, so the only subset is evaluated once.
     """
+    s, budget, lower_bound = map(operator.index, (s, budget, lower_bound))
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
     if budget < 1:
@@ -341,12 +354,13 @@ def heuristic_search(
     # sum is below n * n, so integer order is the order of the pairs
     scale = n * n
 
-    floor = _degree_floor(X, s)
+    # capped at s - 1, which every subset meets, so one is always drawn
+    stop = max(_degree_floor(X, s), min(lower_bound, s - 1))
     evals = 0
     best_top = n  # above every induced degree
     best_mask = 0
 
-    while evals < budget and best_top > floor:
+    while evals < budget and best_top > stop:
         mask = 0
         for v in rng.sample(range(n), s):
             mask |= 1 << v
@@ -356,7 +370,7 @@ def heuristic_search(
         evals += 1
         if cur // scale < best_top:
             best_top, best_mask = cur // scale, mask
-        while evals < budget and best_top > floor:
+        while evals < budget and best_top > stop:
             outs = [w for w in range(n) if not mask >> w & 1]
             move = -1  # no candidate scored yet (scores are >= 0)
             for u in members:
@@ -655,6 +669,9 @@ def _agreement_worker(args: tuple) -> str:
     for s in range(1, n + 1):
         exact = min_max_degree(X, s)
         f = exact.f_value
+        edeg, _ = induced_max_degree(X, exact.witness_subset)
+        if exact.witness_subset.size != s or edeg != f:
+            parts.append(f"s={s} EXACT-BAD-WITNESS")
         for target in range(s):
             out = branch_and_bound(X, s, target)
             want = "true" if target >= f else "false"
@@ -665,9 +682,12 @@ def _agreement_worker(args: tuple) -> str:
                 deg, _ = induced_max_degree(X, out.witness)
                 if out.witness.size != s or deg > target:
                     parts.append(f"s={s} target={target} BAD-WITNESS")
-        heur = heuristic_search(X, s, seed=index, budget=400)
+        # f is a lower bound, so the heuristic stops once it reaches f
+        heur = heuristic_search(X, s, seed=index, budget=400, lower_bound=f)
         hdeg, _ = induced_max_degree(X, heur.witness_subset)
-        if heur.f_value < f or hdeg != heur.f_value:
+        if heur.witness_subset.size != s or hdeg != heur.f_value:
+            parts.append(f"s={s} HEURISTIC-BAD-WITNESS")
+        if heur.f_value < f:
             parts.append(f"s={s} HEURISTIC-BELOW-EXACT {heur.f_value} < {f}")
         parts.append(f"s={s} f={f} h={heur.f_value}")
     return " ".join(parts)

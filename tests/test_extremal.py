@@ -491,9 +491,10 @@ def test_oracle_suite_lines_are_pinned(monkeypatch):
     calls = _sample_counter(monkeypatch)
     lines = oracle_agreement_suite(100, seed=0)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLE_100_SHA256
-    # the restarts the early stop leaves: without it the heuristic spends
-    # every budget and draws 16,735 subsets
-    assert len(calls) == 2463
+    # the restarts the early stops leave: the suite passes the exact f as
+    # the heuristic's lower bound (2,463 draws with the degree floor alone,
+    # 16,735 with no early stop, every budget spent)
+    assert len(calls) == 846
 
 
 def _oracle_graph(index, seed=0):
@@ -515,6 +516,76 @@ def test_branch_and_bound_matches_recursive_reference():
                     assert (out.status, mask, out.nodes) == _recursive_bnb(
                         X, s, target, node_budget
                     ), (index, s, target, node_budget)
+
+
+def test_heuristic_lower_bound_at_f_changes_no_result():
+    for index in range(60):
+        X = _oracle_graph(index, seed=1)
+        for s in range(1, X.n + 1):
+            f = min_max_degree(X, s).f_value
+            want = heuristic_search(X, s, seed=index, budget=400)
+            assert heuristic_search(X, s, seed=index, budget=400, lower_bound=f) == want
+            # any bound at or below f leaves the result as it is too
+            assert heuristic_search(X, s, seed=index, budget=400, lower_bound=f // 2) == want
+    rng = random.Random(411)
+    for n in range(1, 15):
+        for s in range(1, n + 1):
+            X = _random_graph(rng, n)
+            f = min_max_degree(X, s).f_value
+            for budget in HEURISTIC_BUDGETS:
+                seed = rng.randrange(1 << 30)
+                got = heuristic_search(X, s, seed=seed, budget=budget, lower_bound=f)
+                assert got == heuristic_search(X, s, seed=seed, budget=budget), (n, s, budget)
+
+
+def test_heuristic_lower_bound_above_f_still_returns_a_real_subset(monkeypatch):
+    calls = _sample_counter(monkeypatch)
+    for index in range(30):
+        X = _oracle_graph(index, seed=2)
+        for s in range(1, X.n + 1):
+            f = min_max_degree(X, s).f_value
+            for bound in (f + 1, s - 1, s, 10**6):
+                calls.clear()
+                res = heuristic_search(X, s, seed=index, budget=400, lower_bound=bound)
+                deg, _ = induced_max_degree(X, res.witness_subset)
+                assert res.witness_subset.size == s and deg == res.f_value >= f
+                if bound >= s - 1:  # every subset meets it: the first one drawn ends
+                    assert len(calls) == 1
+
+
+def _oracle_lines_with(monkeypatch, name, wrong):
+    """The oracle lines of three graphs with extremal.<name> returning its
+    result with the witness replaced by wrong(witness)."""
+    import dataclasses
+
+    engine = getattr(extremal, name)
+
+    def patched(X, s, *args, **kwargs):
+        res = engine(X, s, *args, **kwargs)
+        return dataclasses.replace(res, witness_subset=wrong(res.witness_subset))
+
+    monkeypatch.setattr(extremal, name, patched)
+    return oracle_agreement_suite(3, seed=0)
+
+
+@pytest.mark.parametrize("name, marker", [("heuristic_search", "HEURISTIC-BAD-WITNESS"),
+                                          ("min_max_degree", "EXACT-BAD-WITNESS")])
+def test_oracle_marks_a_witness_of_the_wrong_size(monkeypatch, name, marker):
+    want = oracle_agreement_suite(3, seed=0)
+    # one member short at every s, or all n vertices, which is right at s = n
+    for wrong, right_at_n in ((lambda U: VertexSet(U.n, U.mask & (U.mask - 1)), False),
+                              (lambda U: VertexSet.full(U.n), True)):
+        lines = _oracle_lines_with(monkeypatch, name, wrong)
+        monkeypatch.undo()
+        assert len(lines) == len(want)
+        for got, line in zip(lines, want):
+            n = int(line.split()[1].removeprefix("n="))
+            marks = [f" s={s} {marker}" for s in range(1, n if right_at_n else n + 1)]
+            assert all(m in got for m in marks), got
+            # nothing else in the line moves
+            for m in marks:
+                got = got.replace(m, "")
+            assert got == line
 
 
 def test_branch_and_bound_runs_past_the_recursion_limit():

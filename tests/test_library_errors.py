@@ -38,6 +38,7 @@ CASES = [
     (lambda: heuristic_search(C5, 0), "subset size 0 out of range 1..5"),
     (lambda: branch_and_bound(C5, 6, 0), "subset size 6 out of range 0..5"),
     (lambda: branch_and_bound(C5, 1, -1), "target degree must be nonnegative, got -1"),
+    (lambda: branch_and_bound(C5, 3, 1, -1), "node budget must be nonnegative, got -1"),
     (lambda: Graph(-1, []), "vertex count must be nonnegative"),
     (lambda: Graph(10**12, []), "graph has 1000000000000 vertices, above the cap 10000"),
     (lambda: builtin_graph("cycle:x"), "bad graph size in 'cycle:x'"),
@@ -107,6 +108,21 @@ def test_library_input_errors_have_their_message(call, message):
     assert str(err.value) == message
     # a size cap is a budget, with the wording of the file readers
     assert isinstance(err.value, BudgetExceeded) == ("above the cap" in message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heuristic_search(C5, 3.0),
+    lambda: heuristic_search(C5, 3, budget=400.0),
+    lambda: heuristic_search(C5, 3, lower_bound=1.5),
+    lambda: branch_and_bound(C5, 3, 2.5),
+    lambda: branch_and_bound(C5, 3.0, 1),
+    lambda: branch_and_bound(C5, 3, 1, node_budget=10.0),
+    lambda: min_max_degree(C5, 3.0),
+    lambda: min_max_degree(C5, 3, budget=1e8),
+])
+def test_engine_integer_arguments_refuse_floats(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
 
 
 def test_budget_exceeded_is_raised_by_the_cap_check_and_the_subset_budget_only():
