@@ -19,13 +19,21 @@ through 0.
 The exhaustive scan unranks the subsets in lexicographic chunks of uint8
 membership rows and counts induced degrees as sums of the rows that each
 vertex's neighbor slots index (Graph.neighbor_slots), so its memory is
-bounded by the chunk size, not by C(n, s), for any n.  Branch-and-bound
-keeps its include/exclude search on an explicit stack, so its depth is not
-bounded by Python's recursion limit, and keeps the mask of members already
-at the target degree, so it refuses an inclusion with one AND.  The
-heuristic keeps the degree of every vertex into the current subset and
-scores each candidate swap from that vector in O(1).  It stops as soon as
-its best subset meets a lower bound on f: the larger of the caller's
+bounded by the chunk size, not by C(n, s), for any n.  A scan scores the
+generating sets of one group as a block, in one walk over the chunks and
+with no Cayley graph built: the degrees of Cay(G, S) into a chunk are the
+sum over x in S of member[L_x], L_x the left translation by x (the
+translation rows are a Cayley graph's neighbor slots).  The sets are
+visited in sorted order and the sums of the leading elements that
+consecutive sets share are kept, so each row is gathered and added once
+per distinct prefix, not once per set.
+
+Branch-and-bound keeps its include/exclude search on an explicit stack, so
+its depth is not bounded by Python's recursion limit, and keeps the mask of
+members already at the target degree, so it refuses an inclusion with one
+AND.  The heuristic keeps the degree of every vertex into the current subset
+and scores each candidate swap from that vector in O(1).  It stops as soon
+as its best subset meets a lower bound on f: the larger of the caller's
 lower_bound and the bound read off the sorted degrees d_1 <= ... <= d_n and
 the edge count e (_degree_floor), the largest of 0, d_s - (n - s) and
 ceil(2 (e - d_{s+1} - ... - d_n) / s).  Its best subset changes only on a
@@ -86,11 +94,18 @@ _INT64_MAX = (1 << 63) - 1
 # _CHUNK_BYTES bounds one (vertex, subset) array of a chunk: uint8 memberships
 # or degrees (twice that for the degrees of n >= 256).  The scorer sums the
 # gathered rows of _SLOT_BATCH slots at a time, so its largest temporary is
-# _SLOT_BATCH times that, 1 MiB.  A cached chunk of m subsets keeps its
-# (n + 1) x m membership array, about _CHUNK_BYTES (smaller n have at most 35
-# subsets), so the _CACHED_CHUNKS cached chunks stay under 17 MiB.  Only runs
-# of at most _CACHED_CHUNKS chunks go through the cache: a longer run would
-# evict every chunk, its own included, before reusing any.
+# _SLOT_BATCH times that, 1 MiB.  A block of generating sets of one group
+# (_verify_block) keeps the prefix sums of its sets instead, one chunk of
+# degrees per shared leading element plus the base, and one gathered row and
+# one set's degrees at a time: at most n + 2 chunks, 7 for a scan at order 16
+# with --max-set-size 5 (blocks have n <= 67, past which C(n - 1, n//2)
+# leaves int64).  The translated chunks member[L_x] are not kept: all of them
+# would be n - 1 chunks, so each is gathered again per prefix instead.  A
+# cached chunk of m subsets keeps its (n + 1) x m membership array, about
+# _CHUNK_BYTES (smaller n have at most 35 subsets), so the _CACHED_CHUNKS
+# cached chunks stay under 17 MiB.  Only runs of at most _CACHED_CHUNKS chunks
+# go through the cache: a longer run would evict every chunk, its own
+# included, before reusing any.
 _CHUNK_BYTES = 1 << 17
 _SLOT_BATCH = 8
 _CACHED_CHUNKS = 128
@@ -145,34 +160,116 @@ def _subset_chunk(n: int, s: int, fix_zero: bool, start: int, stop: int) -> np.n
     return member
 
 
-def _exhaustive(X: Graph, s: int, fix_zero: bool) -> tuple[int, VertexSet]:
-    """Least max induced degree over s-subsets, and the lex-least minimizer.
+def _check_budget(n: int, s: int, fix_zero: bool, budget: int) -> None:
+    """Refuse an exhaustive scan whose subsets, C(n-1, s-1) with vertex 0
+    fixed and C(n, s) otherwise, exceed budget or int64."""
+    pool, k = (n - 1, s - 1) if fix_zero else (n, s)
+    total = math.comb(pool, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"C({pool},{k}) = {total} subsets exceed the budget {budget}; "
+            "try branch_and_bound or heuristic_search"
+        )
+    if total > _INT64_MAX:
+        raise BudgetExceeded(
+            f"C({pool},{k}) = {total} subsets do not fit in int64 ranks; "
+            "try branch_and_bound or heuristic_search"
+        )
 
-    Chunks of subsets in lexicographic order are scored on the neighbor
-    slots of X: the degree of v in U is the sum over v's slots j of
-    member[slots[j, v]], counted only for members v (a padded slot reads the
-    zero row).  A strict < across chunks keeps the first minimizer.
+
+def _slot_sums(member: np.ndarray, slots: np.ndarray, dtype) -> np.ndarray:
+    """The sum of member[slots[j]] over j, kept at members and 0 elsewhere:
+    one graph's degrees into every subset of the chunk, gathered
+    _SLOT_BATCH slots at a time."""
+    deg = np.add.reduce(member[slots[:_SLOT_BATCH]], axis=0, dtype=dtype)
+    for j in range(_SLOT_BATCH, len(slots), _SLOT_BATCH):
+        deg += np.add.reduce(member[slots[j : j + _SLOT_BATCH]], axis=0, dtype=dtype)
+    deg *= member[:-1]  # row n is the zero row
+    return deg
+
+
+def _prefix_plan(picks: Sequence[list[int]]) -> list[tuple[int, int]]:
+    """(k, keep) for every pick in sorted order, keep the number of leading
+    elements pick k has in common with the next one (0 for the last)."""
+    order = sorted(range(len(picks)), key=picks.__getitem__)
+    keeps = [
+        next((d for d, (a, b) in enumerate(zip(picks[k], picks[nxt])) if a != b),
+             min(len(picks[k]), len(picks[nxt])))
+        for k, nxt in zip(order, order[1:])
+    ]
+    return list(zip(order, keeps + [0]))
+
+
+def _prefix_sums(
+    member: np.ndarray, rows: np.ndarray, picks: Sequence[list[int]], plan, base: np.ndarray
+):
+    """(k, base plus the sum of member[rows[p]] over p in picks[k]) for each
+    (k, keep) of plan, the picks in sorted order (_prefix_plan).
+
+    stack[d] holds base plus the first d terms of the current pick.  The
+    keep levels that the next pick shares are kept for it, so a term is
+    gathered and added once per distinct prefix, not once per pick.  No
+    stack entry is changed in place.
     """
-    n = X.n
+    stack = [base]
+    for k, keep in plan:
+        pick = picks[k]
+        while len(stack) <= keep:
+            stack.append(stack[-1] + member[rows[pick[len(stack) - 1]]])
+        deg = stack[-1]
+        rest = pick[len(stack) - 1 :]
+        if rest:
+            deg = deg + member[rows[rest[0]]]
+            for p in rest[1:]:
+                deg += member[rows[p]]
+        yield k, deg
+        del stack[keep + 1 :]
+
+
+def _exhaustive(
+    n: int, s: int, fix_zero: bool, picks: Sequence, rows: np.ndarray | None = None
+) -> list[tuple[int, VertexSet]]:
+    """Least max induced degree over s-subsets, and the lex-least minimizer,
+    for each of several graphs on 0..n-1 at once.
+
+    Chunks of subsets in lexicographic order are scored as sums of gathered
+    membership rows.  With rows None there is one graph, and picks[0] is
+    its neighbor slots: its degree of v in U is the sum over j of
+    member[slots[j, v]] (a padded slot reads the zero row).  Otherwise the
+    graphs are the Cayley graphs of a block of generating sets of one group,
+    rows[x] is the translation row L_x, and graph k's degrees are the sum
+    of member[rows[x]] over the elements x in picks[k], summed with shared
+    prefixes (_prefix_sums).  One graph's degrees are kept at members only.
+    A block's sums instead start from an offset of n at members and 0
+    elsewhere, one array per chunk in place of a mask per set, so a column's
+    max is the offset plus the max degree over the members.  A strict <
+    across chunks keeps each graph's first minimizer.
+    """
     total = math.comb(n - 1, s - 1) if fix_zero else math.comb(n, s)
-    slots = X.neighbor_slots()
-    dtype = np.min_scalar_type(n)  # holds every induced degree (< n)
+    offset = 0 if rows is None else n
+    dtype = np.min_scalar_type(offset + n - 1)  # holds offset plus every induced degree (< n)
     step = max(1, _CHUNK_BYTES // n)
     chunk = _subset_chunk if total <= _CACHED_CHUNKS * step else _subset_chunk.__wrapped__
-    best = n  # above every induced degree
+    plan = None if rows is None else _prefix_plan(picks)
+    best = [n] * len(picks)  # above every induced degree
+    witness: list[np.ndarray | None] = [None] * len(picks)
     for start in range(0, total, step):
         member = chunk(n, s, fix_zero, start, min(start + step, total))
-        deg = np.add.reduce(member[slots[:_SLOT_BATCH]], axis=0, dtype=dtype)
-        for j in range(_SLOT_BATCH, len(slots), _SLOT_BATCH):
-            deg += np.add.reduce(member[slots[j : j + _SLOT_BATCH]], axis=0, dtype=dtype)
-        deg *= member[:n]
-        top = deg.max(axis=0)
-        i = int(top.argmin())
-        if top[i] < best:
-            best = int(top[i])
-            witness = member[:n, i]
-    mask = int.from_bytes(np.packbits(witness, bitorder="little").tobytes(), "little")
-    return best, VertexSet(n, mask)
+        if rows is None:
+            sums = [(0, _slot_sums(member, picks[0], dtype))]
+        else:
+            sums = _prefix_sums(member, rows, picks, plan, member[:n] * dtype.type(n))
+        for k, deg in sums:
+            top = deg.max(axis=0)
+            i = int(top.argmin())
+            if top[i] - offset < best[k]:
+                best[k] = int(top[i]) - offset
+                # a copy, so that no set keeps an uncached chunk alive
+                witness[k] = member[:n, i].copy()
+    return [
+        (f, VertexSet(n, int.from_bytes(np.packbits(w, bitorder="little").tobytes(), "little")))
+        for f, w in zip(best, witness)
+    ]
 
 
 @dataclass(frozen=True)
@@ -202,19 +299,8 @@ def min_max_degree(
     s, budget = operator.index(s), operator.index(budget)
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
-    pool, k = (X.n - 1, s - 1) if contains_zero else (X.n, s)
-    total = math.comb(pool, k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"C({pool},{k}) = {total} subsets exceed the budget {budget}; "
-            "try branch_and_bound or heuristic_search"
-        )
-    if total > _INT64_MAX:
-        raise BudgetExceeded(
-            f"C({pool},{k}) = {total} subsets do not fit in int64 ranks; "
-            "try branch_and_bound or heuristic_search"
-        )
-    f, witness = _exhaustive(X, s, contains_zero)
+    _check_budget(X.n, s, contains_zero, budget)
+    [(f, witness)] = _exhaustive(X.n, s, contains_zero, [X.neighbor_slots()])
     return ExtremalResult(s, f, witness, "exhaustive", True)
 
 
@@ -470,10 +556,34 @@ def verify_conjecture(
     which is sound because right translation by any group element is an
     automorphism of the Cayley graph.
     """
-    X = build_cayley(G, S)
-    s = G.order // 2 + 1
-    res = min_max_degree(X.graph, s, budget=budget, contains_zero=True)
-    return _bound_report(_cayley_label(G, S), res, S.size, t=S.t, abelian=G.is_abelian)
+    return _verify_block(G, [S], budget)[0]
+
+
+def _verify_block(
+    G: FiniteGroup, sets: Sequence[GeneratingSet], budget: int
+) -> list[ConjectureReport]:
+    """verify_conjecture for every set of a block of one group G, in order.
+
+    The sets share one chunk walk.  The Cayley graph of S has the
+    translation rows L_x[g] = x*g, x in S, as its neighbor slots, so the
+    degree of g in U is the sum over x in S of member[L_x[g]].  One set is
+    scored on its own rows as its graph's slots; a block's sets share the
+    sums of their common leading elements.  No Cayley graph is built.
+    """
+    n = G.order
+    s = n // 2 + 1
+    _check_budget(n, s, True, budget)
+    if len(sets) == 1:
+        rows, picks = None, [G.translations(sets[0].sorted_elements())]
+    else:
+        rows, picks = G.translations(range(n)), [list(S.sorted_elements()) for S in sets]
+    return [
+        _bound_report(
+            _cayley_label(G, S), ExtremalResult(s, f, witness, "exhaustive", True),
+            S.size, t=S.t, abelian=G.is_abelian,
+        )
+        for S, (f, witness) in zip(sets, _exhaustive(n, s, True, picks, rows))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +659,45 @@ def _item_graph(item: tuple) -> Graph:
     return builtin_graph(item[1])
 
 
-def _scan_worker(args: tuple) -> ConjectureReport | str:
-    """The report of one (scan item, budget) pair, or the error line naming
-    the item's CSV label."""
-    item, budget = args
-    cayley = item[0] == "cayley"
+def _scan_worker(args: tuple) -> list[ConjectureReport | str]:
+    """The reports of one (block of scan items, budget) pair, in item order;
+    an item that raised ValueError has the error line naming its CSV label.
+
+    A block is one catalog graph, or consecutive Cayley items of one group,
+    which _verify_block scores together (a refusal then names every item).
+    """
+    block, budget = args
+    if block[0][0] == "graph":
+        [(_, name)] = block
+        try:
+            X = builtin_graph(name)
+            res = min_max_degree(X, X.n // 2 + 1, budget=budget)
+            return [_bound_report(name, res, X.max_degree(), t=None, abelian=False)]
+        except ValueError as exc:  # recorded per instance; the scan keeps going
+            return [f"{name}: {exc}"]
+    G = block[0][1]
+    sets = [item[2] for item in block]
     try:
-        if cayley:
-            return verify_conjecture(item[1], item[2], budget=budget)
-        X = builtin_graph(item[1])
-        res = min_max_degree(X, X.n // 2 + 1, budget=budget)
-        return _bound_report(item[1], res, X.max_degree(), t=None, abelian=False)
-    except ValueError as exc:  # recorded per instance; the scan keeps going
-        return f"{_cayley_label(item[1], item[2]) if cayley else item[1]}: {exc}"
+        return _verify_block(G, sets, budget)
+    except ValueError as exc:
+        return [f"{_cayley_label(G, S)}: {exc}" for S in sets]
+
+
+def _scan_blocks(items: Sequence[tuple], jobs: int) -> list[list[tuple]]:
+    """The items cut into blocks: each catalog graph alone, and each run of
+    consecutive Cayley items of one group (the same FiniteGroup object) in
+    pieces of at most ceil(len(items) / (4 jobs)) items when jobs > 1, so
+    that every worker gets several blocks even when one group holds most of
+    the items."""
+    cap = len(items) if jobs <= 1 else -(-len(items) // (4 * jobs))
+    blocks: list[list[tuple]] = []
+    for item in items:
+        last = blocks[-1] if blocks else [("graph",)]
+        if item[0] == last[0][0] == "cayley" and item[1] is last[0][1] and len(last) < cap:
+            last.append(item)
+        else:
+            blocks.append([item])
+    return blocks
 
 
 def scan(
@@ -575,6 +711,9 @@ def scan(
 
     Items come from the *_scan_items functions.  A Cayley item's
     GeneratingSet is used as it is: it was validated where it was made.
+    Consecutive Cayley items of one group are scored as one block, in one
+    exhaustive walk (_verify_block); with jobs > 1 the runs are cut so
+    that every worker gets several blocks (_scan_blocks).
 
     Returns (summary, csv_text).  Weak-bound failures are findings, not
     errors: they are counted, and each is re-verified with
@@ -590,7 +729,9 @@ def scan(
         Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     if violations_dir is not None:
         Path(violations_dir).mkdir(parents=True, exist_ok=True)
-    reports = parallel_map(_scan_worker, [(it, budget) for it in items], jobs=jobs)
+    blocks = _scan_blocks(items, jobs)
+    reports = [rep for reps in parallel_map(_scan_worker, [(b, budget) for b in blocks], jobs=jobs)
+               for rep in reps]
     done = [rep for rep in reports if not isinstance(rep, str)]
 
     buf = io.StringIO()

@@ -68,7 +68,11 @@ class VertexSet:
         # digit n - v is vertex v; one linear parse, not a mask copy per member
         digits = bytearray(b"0") * (max(n, 0) + 1)
         for v in members:
-            v = operator.index(v)  # refuses floats and bools, unwraps numpy ints
+            # operator.index refuses floats and numpy bools and unwraps numpy
+            # ints, but takes a Python bool for 0 or 1, so that is refused here
+            if type(v) is bool:
+                raise ValueError(f"vertex {v} is a bool, not a vertex index")
+            v = operator.index(v)
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range 0..{n - 1}")
             digits[n - v] = 49  # ord("1")

@@ -163,7 +163,7 @@ def test_scan_output_under_a_file_fails_before_any_instance(tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("an instance was checked before the output path")
 
-    monkeypatch.setattr(extremal, "verify_conjecture", refuse)
+    monkeypatch.setattr(extremal, "_verify_block", refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
     for flag, path in [("--out", blocker / "scan.csv"), ("--violations-dir", blocker / "v")]:
@@ -387,6 +387,19 @@ def test_jobs_flag_accepted(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the order-16 slice of the benchmark: 3,888 rows, 3,528 of them sets of Z2^4
+SCAN16_SHA256 = "4b0f68d6e2efb20bf9101031a778cdece07fcbb2b4b0ceda9e15c745e07a894d"
+
+
+def test_scan16_csv_is_pinned_and_the_same_at_jobs_1_and_2(tmp_path, capsys):
+    for jobs in ("1", "2"):
+        out = tmp_path / f"scan_j{jobs}.csv"
+        assert main(["--jobs", jobs, "scan", "--abelian-orders", "16..16",
+                     "--max-set-size", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN16_SHA256, jobs
+        assert "scanned 3888 instance(s)" in capsys.readouterr().err
+
+
 def test_scan_exits_2_when_every_instance_is_over_budget(capsys):
     rc = main(["scan", "--groups", "q8", "--budget", "1"])
     assert rc == 2
@@ -402,7 +415,7 @@ def test_scan_exits_3_on_an_invariant_breach(monkeypatch, capsys):
     def breach(*args, **kwargs):
         raise InvariantBreach("simulated breach")
 
-    monkeypatch.setattr(extremal, "verify_conjecture", breach)
+    monkeypatch.setattr(extremal, "_verify_block", breach)
     assert main(["scan", "--groups", "s3"]) == 3
     assert "internal invariant breach: simulated breach" in capsys.readouterr().err
 

@@ -605,12 +605,12 @@ def test_heuristic_rejects_a_budget_below_one():
 
 
 def _weakened(verify):
-    """verify_conjecture with every report turned into a weak-bound failure."""
+    """The scan's block entry with every report turned into a weak-bound failure."""
     import dataclasses
 
-    def fake(G, S, budget=10**8):
-        rep = verify(G, S, budget=budget)
-        return dataclasses.replace(rep, weak_ok=False, margin=-1)
+    def fake(G, sets, budget):
+        return [dataclasses.replace(rep, weak_ok=False, margin=-1)
+                for rep in verify(G, sets, budget)]
 
     return fake
 
@@ -622,7 +622,7 @@ def test_scan_violation_in_a_table_group_is_reverified(tmp_path, monkeypatch):
 
     G = make_group({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})  # Z3, name "table"
     item = ("cayley", G, make_generating_set(G, [1, 2]))
-    monkeypatch.setattr(extremal, "verify_conjecture", _weakened(extremal.verify_conjecture))
+    monkeypatch.setattr(extremal, "_verify_block", _weakened(extremal._verify_block))
     summary, csv_text = scan([item], violations_dir=tmp_path, jobs=1)
     assert summary.weak_failures == 1 and summary.errors == []
     record = json.loads((tmp_path / "violation_0000.json").read_text())
@@ -640,6 +640,88 @@ def test_scan_errors_name_the_csv_label():
     # vertex 0 is fixed in a Cayley graph, so the count is C(7,4), not C(8,5)
     assert "C(7,4) = 35 subsets exceed the budget 1" in summary.errors[0]
     assert summary.errors[1].startswith("cycle:2: ")
+
+
+BLOCK_GROUPS = [*iter_abelian_moduli(12), "s3", "q8", "dihedral:5"]
+
+
+def _one_graph_results(G, sets):
+    """(f, witness mask) of each set by min_max_degree on its built Cayley
+    graph, which the uint32 table reference, sharing no code with the
+    engine, confirms."""
+    s = G.order // 2 + 1
+    results = []
+    for S in sets:
+        X = build_cayley(G, S).graph
+        res = min_max_degree(X, s, contains_zero=True)
+        results.append((res.f_value, res.witness_subset.mask))
+        assert results[-1] == _table_reference(X, s, True), (G.name, S)
+    return results
+
+
+@pytest.mark.parametrize("subsets_per_chunk", [None, 1, 5])
+def test_block_kernel_matches_the_one_graph_engine(monkeypatch, subsets_per_chunk):
+    # a block scores its sets on shared prefix sums; each set must get the
+    # f and lex-least witness of its own graph.  The references are taken at
+    # the default chunk size, one chunk for n <= 12, so a block that spans
+    # several chunks must still keep each set's first minimizer (a <= across
+    # chunks would keep a later one)
+    rng = random.Random(2929)
+    for spec in BLOCK_GROUPS:
+        G = make_group(spec)
+        sets = list(enumerate_symmetric_generating_sets(G))
+        sample = rng.sample(sets, min(len(sets), 40))  # shuffled, not in walk order
+        want = _one_graph_results(G, sample)
+        if subsets_per_chunk is not None:
+            monkeypatch.setattr(extremal, "_CHUNK_BYTES", subsets_per_chunk * G.order)
+        reports = extremal._verify_block(G, sample, 10**8)
+        monkeypatch.undo()
+        assert [(r.f, r.witness.mask) for r in reports] == want, spec
+        assert [r.label for r in reports] == [extremal._cayley_label(G, S) for S in sample]
+        assert all(r.witness.size == G.order // 2 + 1 for r in reports)
+
+
+def test_block_kernel_keeps_no_sum_between_sets():
+    # sets whose sorted elements are prefixes of one another, a repeat, and
+    # both orders: every set's degrees start again from the membership offset
+    G = make_group("z2x2x2x2")
+    elems = [[1], [1, 2], [1, 2, 3], [1, 2, 4], [1, 2, 3, 4], [3, 5], [1], [2, 4, 8, 15]]
+    sets = [make_generating_set(G, e, allow_nongenerating=True) for e in elems]
+    want = _one_graph_results(G, sets)
+    for block in (sets, sets[::-1]):
+        got = [(r.f, r.witness.mask) for r in extremal._verify_block(G, block, 10**8)]
+        assert got == (want if block is sets else want[::-1])
+
+
+def test_scan_blocks_give_every_worker_several_blocks():
+    items = abelian_scan_items(16, 16, max_size=5)
+    assert len(items) == 3888
+    assert extremal._scan_blocks(items, 1) == [
+        [it for it in items if it[1] is G] for G in dict.fromkeys(it[1] for it in items)
+    ]
+    blocks = extremal._scan_blocks(items, 2)
+    assert [it for b in blocks for it in b] == items
+    assert len(blocks) > 2 * 2  # more than two blocks per worker
+    assert all(len(b) <= -(-3888 // 8) and len({id(it[1]) for it in b}) == 1 for b in blocks)
+    z2_4 = [b for b in blocks if b[0][1].name == "z2x2x2x2"]
+    assert sum(map(len, z2_4)) == 3528 and len(z2_4) > 2
+    # a catalog graph is a block of its own, between the runs it cuts
+    mixed = items[:3] + graph_scan_items(["petersen"]) + items[3:6]
+    assert [len(b) for b in extremal._scan_blocks(mixed, 1)] == [3, 1, 3]
+
+
+def test_a_refused_block_names_every_item_at_any_jobs():
+    items = named_group_scan_items(["q8", "z6"]) + graph_scan_items(["cycle:2", "petersen"])
+    s1, csv1 = scan(items, budget=1, jobs=1)
+    s2, csv2 = scan(items, budget=1, jobs=2)
+    assert (s1.errors, csv1) == (s2.errors, csv2)
+    assert s1.instances == 0 and len(s1.errors) == len(items)
+    for item, line in zip(items, s1.errors):
+        label = extremal._cayley_label(item[1], item[2]) if item[0] == "cayley" else item[1]
+        assert line.startswith(label + ": "), line
+    # vertex 0 is fixed in a Cayley graph of z6, so the count is C(5,3)
+    assert s1.errors[-3].endswith(": C(5,3) = 10 subsets exceed the budget 1; "
+                                  "try branch_and_bound or heuristic_search")
 
 
 def test_scan_items_carry_the_enumerated_set_and_scan_does_not_revalidate(monkeypatch):
@@ -811,19 +893,31 @@ def test_lex_least_witness_survives_chunk_boundaries(monkeypatch, length):
 def test_exhaustive_memory_is_bounded_by_the_chunk(monkeypatch):
     rng = random.Random(24)
     X = _random_graph(rng, 24)
-    expect = _engine(X, 13, True)
+    G = make_group("z24")
+    # a block of three sets whose sorted elements share leading terms
+    sets = [make_generating_set(G, elems) for elems in ([1, 23, 2, 22], [1, 23, 3, 21],
+                                                        [2, 22, 3, 21, 1, 23])]
+    runs = {
+        "graph": lambda: _engine(X, 13, True),
+        "block": lambda: [(r.f, r.witness.mask) for r in extremal._verify_block(G, sets, 10**8)],
+    }
+    expect = {
+        "graph": runs["graph"](),
+        "block": [_engine(build_cayley(G, S).graph, 13, True) for S in sets],
+    }
     full_array = math.comb(23, 12) * 8  # every mask as one uint64
     monkeypatch.setattr(extremal, "_CHUNK_BYTES", 1 << 16)
-    extremal._subset_chunk.cache_clear()
-    tracemalloc.start()
-    try:
-        got = _engine(X, 13, True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    for name, run in runs.items():
         extremal._subset_chunk.cache_clear()
-    assert got == expect
-    assert peak < full_array / 8, (peak, full_array)
+        tracemalloc.start()
+        try:
+            got = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            extremal._subset_chunk.cache_clear()
+        assert got == expect[name], name
+        assert peak < full_array / 8, (name, peak, full_array)
 
 
 def test_runs_longer_than_the_chunk_cache_bypass_it():

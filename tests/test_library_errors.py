@@ -16,7 +16,7 @@ from cayleydeg.extremal import (
     heuristic_search,
     min_max_degree,
 )
-from cayleydeg.graphs import Graph, VertexSet, builtin_graph, import_graph
+from cayleydeg.graphs import Graph, VertexSet, builtin_graph, import_graph, induced_max_degree
 from cayleydeg.groups import (
     element_order,
     enumerate_symmetric_generating_sets,
@@ -92,6 +92,8 @@ CASES = [
         lambda: abelian_witness(Z2_5, make_generating_set(Z2_5, range(1, 24)), range(17)),
         "witness cube has 8388608 corners, above the cap 4194304",
     ),
+    (lambda: VertexSet.from_members(3, [True, 2]), "vertex True is a bool, not a vertex index"),
+    (lambda: induced_max_degree(C5, [0, False]), "vertex False is a bool, not a vertex index"),
     (lambda: VertexSet.full(1 << 40), "vertex set has 1099511627776 vertices, above the cap 4194304"),
     (lambda: abelian_scan_items(10**9), "z1000000000 has 1000000000 elements, above the cap 10000"),
     (
@@ -126,8 +128,9 @@ def test_engine_integer_arguments_refuse_floats(call):
 
 
 def test_budget_exceeded_is_raised_by_the_cap_check_and_the_subset_budget_only():
-    # every size cap goes through errors.check_cap; min_max_degree's subset
-    # budget, passed on each call, keeps its own two refusals
+    # every size cap goes through errors.check_cap; the subset budget, passed
+    # on each exhaustive call, keeps its own two refusals in _check_budget,
+    # which min_max_degree and the scan's blocks share
     found = []
     for path in sorted(Path(cayleydeg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -140,7 +143,7 @@ def test_budget_exceeded_is_raised_by_the_cap_check_and_the_subset_budget_only()
             if getattr(func, "id", getattr(func, "attr", None)) == "BudgetExceeded":
                 found.append(f"{path.stem}.{owner.get(node)}")
     assert sorted(found) == [
-        "errors.check_cap", "extremal.min_max_degree", "extremal.min_max_degree"
+        "errors.check_cap", "extremal._check_budget", "extremal._check_budget"
     ]
 
 
