@@ -26,7 +26,8 @@ sum over x in S of member[L_x], L_x the left translation by x (the
 translation rows are a Cayley graph's neighbor slots).  The sets are
 visited in sorted order and the sums of the leading elements that
 consecutive sets share are kept, so each row is gathered and added once
-per distinct prefix, not once per set.
+per distinct prefix, not once per set.  verify_conjecture is a block of one
+set.
 
 Branch-and-bound keeps its include/exclude search on an explicit stack, so
 its depth is not bounded by Python's recursion limit, and keeps the mask of
@@ -162,7 +163,9 @@ def _subset_chunk(n: int, s: int, fix_zero: bool, start: int, stop: int) -> np.n
 
 def _check_budget(n: int, s: int, fix_zero: bool, budget: int) -> None:
     """Refuse an exhaustive scan whose subsets, C(n-1, s-1) with vertex 0
-    fixed and C(n, s) otherwise, exceed budget or int64."""
+    fixed and C(n, s) otherwise, exceed budget or int64.  budget is read
+    with operator.index, so a float or None is a TypeError."""
+    budget = operator.index(budget)
     pool, k = (n - 1, s - 1) if fix_zero else (n, s)
     total = math.comb(pool, k)
     if total > budget:
@@ -200,18 +203,17 @@ def _prefix_plan(picks: Sequence[list[int]]) -> list[tuple[int, int]]:
     return list(zip(order, keeps + [0]))
 
 
-def _prefix_sums(
-    member: np.ndarray, rows: np.ndarray, picks: Sequence[list[int]], plan, base: np.ndarray
-):
-    """(k, base plus the sum of member[rows[p]] over p in picks[k]) for each
-    (k, keep) of plan, the picks in sorted order (_prefix_plan).
+def _prefix_sums(member: np.ndarray, rows: np.ndarray, picks: Sequence[list[int]], plan):
+    """(k, n at members plus the sum of member[rows[p]] over p in picks[k])
+    for each (k, keep) of plan, the picks in sorted order (_prefix_plan).
 
-    stack[d] holds base plus the first d terms of the current pick.  The
-    keep levels that the next pick shares are kept for it, so a term is
+    stack[d] holds the base plus the first d terms of the current pick.
+    The keep levels that the next pick shares are kept for it, so a term is
     gathered and added once per distinct prefix, not once per pick.  No
     stack entry is changed in place.
     """
-    stack = [base]
+    n = len(member) - 1
+    stack = [member[:n] * np.uint8(n)]  # n <= 67 (int64 ranks), so 2n - 1 fits
     for k, keep in plan:
         pick = picks[k]
         while len(stack) <= keep:
@@ -227,47 +229,37 @@ def _prefix_sums(
 
 
 def _exhaustive(
-    n: int, s: int, fix_zero: bool, picks: Sequence, rows: np.ndarray | None = None
+    n: int, s: int, fix_zero: bool, count: int, degrees, offset: int = 0
 ) -> list[tuple[int, VertexSet]]:
     """Least max induced degree over s-subsets, and the lex-least minimizer,
-    for each of several graphs on 0..n-1 at once.
+    for each of count graphs on 0..n-1 at once.
 
-    Chunks of subsets in lexicographic order are scored as sums of gathered
-    membership rows.  With rows None there is one graph, and picks[0] is
-    its neighbor slots: its degree of v in U is the sum over j of
-    member[slots[j, v]] (a padded slot reads the zero row).  Otherwise the
-    graphs are the Cayley graphs of a block of generating sets of one group,
-    rows[x] is the translation row L_x, and graph k's degrees are the sum
-    of member[rows[x]] over the elements x in picks[k], summed with shared
-    prefixes (_prefix_sums).  One graph's degrees are kept at members only.
-    A block's sums instead start from an offset of n at members and 0
-    elsewhere, one array per chunk in place of a mask per set, so a column's
-    max is the offset plus the max degree over the members.  A strict <
-    across chunks keeps each graph's first minimizer.
+    The subsets are unranked in lexicographic chunks, once for all the
+    graphs.  degrees(member) yields (k, deg) for every graph k, deg[v, i]
+    being offset plus the degree of v into subset i when v is a member and
+    at most offset otherwise; so a column's max is offset plus the subset's
+    max induced degree.  A strict < across chunks keeps each graph's first
+    minimizer.
     """
     total = math.comb(n - 1, s - 1) if fix_zero else math.comb(n, s)
-    offset = 0 if rows is None else n
-    dtype = np.min_scalar_type(offset + n - 1)  # holds offset plus every induced degree (< n)
     step = max(1, _CHUNK_BYTES // n)
-    chunk = _subset_chunk if total <= _CACHED_CHUNKS * step else _subset_chunk.__wrapped__
-    plan = None if rows is None else _prefix_plan(picks)
-    best = [n] * len(picks)  # above every induced degree
-    witness: list[np.ndarray | None] = [None] * len(picks)
+    cached = total <= _CACHED_CHUNKS * step
+    chunk = _subset_chunk if cached else _subset_chunk.__wrapped__
+    best = [offset + n] * count  # above every induced degree
+    witness: list[np.ndarray | None] = [None] * count
     for start in range(0, total, step):
         member = chunk(n, s, fix_zero, start, min(start + step, total))
-        if rows is None:
-            sums = [(0, _slot_sums(member, picks[0], dtype))]
-        else:
-            sums = _prefix_sums(member, rows, picks, plan, member[:n] * dtype.type(n))
-        for k, deg in sums:
+        for k, deg in degrees(member):
             top = deg.max(axis=0)
             i = int(top.argmin())
-            if top[i] - offset < best[k]:
-                best[k] = int(top[i]) - offset
-                # a copy, so that no set keeps an uncached chunk alive
-                witness[k] = member[:n, i].copy()
+            if top[i] < best[k]:
+                best[k] = int(top[i])
+                # a view of a cached chunk; a copy, so that no graph keeps an
+                # uncached chunk alive
+                witness[k] = member[:n, i] if cached else member[:n, i].copy()
     return [
-        (f, VertexSet(n, int.from_bytes(np.packbits(w, bitorder="little").tobytes(), "little")))
+        (f - offset,
+         VertexSet(n, int.from_bytes(np.packbits(w, bitorder="little").tobytes(), "little")))
         for f, w in zip(best, witness)
     ]
 
@@ -296,11 +288,14 @@ def min_max_degree(
     subsets through vertex 0 are scanned.  Refuses to start if the number of
     subsets exceeds budget or int64.
     """
-    s, budget = operator.index(s), operator.index(budget)
+    s = operator.index(s)
     if not 1 <= s <= X.n:
         raise ValueError(f"subset size {s} out of range 1..{X.n}")
     _check_budget(X.n, s, contains_zero, budget)
-    [(f, witness)] = _exhaustive(X.n, s, contains_zero, [X.neighbor_slots()])
+    slots, dtype = X.neighbor_slots(), np.min_scalar_type(X.n)  # holds every induced degree (< n)
+    [(f, witness)] = _exhaustive(
+        X.n, s, contains_zero, 1, lambda member: [(0, _slot_sums(member, slots, dtype))]
+    )
     return ExtremalResult(s, f, witness, "exhaustive", True)
 
 
@@ -566,23 +561,24 @@ def _verify_block(
 
     The sets share one chunk walk.  The Cayley graph of S has the
     translation rows L_x[g] = x*g, x in S, as its neighbor slots, so the
-    degree of g in U is the sum over x in S of member[L_x[g]].  One set is
-    scored on its own rows as its graph's slots; a block's sets share the
-    sums of their common leading elements.  No Cayley graph is built.
+    degree of g in U is the sum over x in S of member[L_x[g]], summed with
+    the prefixes the sets share (_prefix_sums).  No Cayley graph is built.
     """
     n = G.order
     s = n // 2 + 1
     _check_budget(n, s, True, budget)
-    if len(sets) == 1:
-        rows, picks = None, [G.translations(sets[0].sorted_elements())]
-    else:
-        rows, picks = G.translations(range(n)), [list(S.sorted_elements()) for S in sets]
+    rows = G.translations(range(n))
+    picks = [list(S.sorted_elements()) for S in sets]
+    plan = _prefix_plan(picks)
+    results = _exhaustive(
+        n, s, True, len(picks), lambda member: _prefix_sums(member, rows, picks, plan), offset=n
+    )
     return [
         _bound_report(
             _cayley_label(G, S), ExtremalResult(s, f, witness, "exhaustive", True),
             S.size, t=S.t, abelian=G.is_abelian,
         )
-        for S, (f, witness) in zip(sets, _exhaustive(n, s, True, picks, rows))
+        for S, (f, witness) in zip(sets, results)
     ]
 
 

@@ -15,6 +15,7 @@ from cayleydeg.extremal import (
     branch_and_bound,
     heuristic_search,
     min_max_degree,
+    verify_conjecture,
 )
 from cayleydeg.graphs import Graph, VertexSet, builtin_graph, import_graph, induced_max_degree
 from cayleydeg.groups import (
@@ -121,6 +122,8 @@ def test_library_input_errors_have_their_message(call, message):
     lambda: branch_and_bound(C5, 3, 1, node_budget=10.0),
     lambda: min_max_degree(C5, 3.0),
     lambda: min_max_degree(C5, 3, budget=1e8),
+    lambda: verify_conjecture(Z4X2, make_generating_set(Z4X2, [1, 2, 6]), budget=1e8),
+    lambda: verify_conjecture(Z4X2, make_generating_set(Z4X2, [1, 2, 6]), budget=None),
 ])
 def test_engine_integer_arguments_refuse_floats(call):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
