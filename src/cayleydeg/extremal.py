@@ -537,9 +537,10 @@ def _bound_report(
     )
 
 
-def _cayley_label(G: FiniteGroup, S: GeneratingSet) -> str:
-    """The graph label of Cay(G, S): the group name, then S in brackets."""
-    return f"{G.name}[{','.join(map(str, S.sorted_elements()))}]"
+def _cayley_label(G: FiniteGroup, members: Sequence[int]) -> str:
+    """The graph label of Cay(G, S): the group name, then the members of S,
+    sorted, in brackets."""
+    return f"{G.name}[{','.join(map(str, members))}]"
 
 
 def verify_conjecture(
@@ -575,10 +576,10 @@ def _verify_block(
     )
     return [
         _bound_report(
-            _cayley_label(G, S), ExtremalResult(s, f, witness, "exhaustive", True),
+            _cayley_label(G, pick), ExtremalResult(s, f, witness, "exhaustive", True),
             S.size, t=S.t, abelian=G.is_abelian,
         )
-        for S, (f, witness) in zip(sets, results)
+        for S, pick, (f, witness) in zip(sets, picks, results)
     ]
 
 
@@ -676,7 +677,7 @@ def _scan_worker(args: tuple) -> list[ConjectureReport | str]:
     try:
         return _verify_block(G, sets, budget)
     except ValueError as exc:
-        return [f"{_cayley_label(G, S)}: {exc}" for S in sets]
+        return [f"{_cayley_label(G, S.sorted_elements())}: {exc}" for S in sets]
 
 
 def _scan_blocks(items: Sequence[tuple], jobs: int) -> list[list[tuple]]:

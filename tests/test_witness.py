@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cayleydeg.groups as groups
+import cayleydeg.witness as witness
 from cayleydeg.errors import BudgetExceeded, InvariantBreach
 from cayleydeg.graphs import Graph, VertexSet, build_cayley, induced_max_degree
 from cayleydeg.groups import FiniteGroup, make_generating_set, make_group
@@ -279,6 +280,8 @@ def test_witness_suite_memory_holds_packed_subsets(monkeypatch):
         tracemalloc.stop()
     assert len(lines) == 5000
     assert peak < 3.2 * (1 << 20)
+    # the witness part of the benchmark runs these instances
+    assert _digest(lines) == "6f52d7ec6b97bebb2cbfb44720ba4117aadf7b308f5b9de5859a7247f923a9d9"
 
 
 def test_random_witness_suite_validates_count():
@@ -520,87 +523,194 @@ def _rows(n, subsets):
     return ind
 
 
+def _batch(keys):
+    """The kernel's input for keys of (G, S, subsets): (G, S, count) per key
+    and the flat membership of all the subsets end to end."""
+    member = np.concatenate([_rows(G.order, subsets).reshape(-1) for G, _, subsets in keys])
+    return [(G, S, len(subsets)) for G, S, subsets in keys], member
+
+
+def _random_key(rng):
+    """A seeded cyclic product of rank 1 to 3 with its basis pairs and up to
+    two more, under a lift of 2^16 points."""
+    while True:
+        moduli = [rng.randint(2, 8) for _ in range(rng.randint(1, 3))]
+        G = make_group(moduli)
+        elems = set()
+        for j in range(len(moduli)):
+            g = G.encode([1 if k == j else 0 for k in range(len(moduli))])
+            elems |= {g, G.inv(g)}
+        for _ in range(rng.randint(0, 2)):
+            g = rng.randrange(1, G.order)
+            elems |= {g, G.inv(g)}
+        S = make_generating_set(G, sorted(elems))
+        if math.lcm(*moduli) ** S.d <= 1 << 16:
+            return G, S
+
+
 def _kernel_batches():
-    """Seeded (G, S, subsets, cap) batches of one Cayley graph each: keys
-    with one subset and with hundreds, one subset repeated in every row,
-    the full set among majority subsets, and d = 1 on a long cycle."""
+    """Seeded (d, keys, cap) batches, keys of (G, S, subsets) whose sets all
+    have d directions.  A mixed batch per d puts presentations of different
+    order, rank and m side by side, with one subset or many, and full sets
+    at two key boundaries: every count of a full set ties, so its row's
+    first maximum is its first entry, just after the last entry of the row
+    before, which ties too.  One-key batches follow: hundreds of subsets,
+    one subset repeated in every row, and d = 1 on a long cycle."""
     rng = random.Random("kernel")
-    for count in (1, 1, 1, 2, 5, 40, 300):
-        while True:
-            moduli = [rng.randint(2, 8) for _ in range(rng.randint(1, 3))]
-            G = make_group(moduli)
-            elems = set()
-            for j in range(len(moduli)):
-                g = G.encode([1 if k == j else 0 for k in range(len(moduli))])
-                elems |= {g, G.inv(g)}
-            for _ in range(rng.randint(0, 2)):
-                g = rng.randrange(1, G.order)
-                elems |= {g, G.inv(g)}
-            S = make_generating_set(G, sorted(elems))
-            # the large batches get at least three directions
-            if math.lcm(*moduli) ** S.d <= 1 << 16 and S.d >= min(count, 3):
-                break
-        subsets = [
-            rng.sample(range(G.order), rng.randint(G.order // 2 + 1, G.order))
-            for _ in range(count)
-        ]
-        yield G, S, subsets, 1 << 16
+    drawn: dict[int, list] = {}
+    while min(len(drawn.get(d, ())) for d in (1, 2, 3, 4)) < 6:
+        G, S = _random_key(rng)
+        drawn.setdefault(S.d, []).append((G, S))
+    for d in (1, 2, 3, 4):
+        keys = []
+        for (G, S), count in zip(drawn[d], (1, 3, 1, 40, 2, 1)):
+            subsets = [
+                rng.sample(range(G.order), rng.randint(G.order // 2 + 1, G.order))
+                for _ in range(count)
+            ]
+            keys.append((G, S, subsets))
+        for i in (0, 2):
+            keys[i][2][-1] = range(keys[i][0].order)
+            keys[i + 1][2][0] = range(keys[i + 1][0].order)
+        yield d, keys, 1 << 16
+    G, S = _random_key(rng)
+    yield S.d, [(G, S, [
+        rng.sample(range(G.order), rng.randint(G.order // 2 + 1, G.order)) for _ in range(300)
+    ])], 1 << 16
     G = make_group([2, 2, 2])
     S = make_generating_set(G, range(1, 8))
-    yield G, S, [range(8), [0, 1, 2, 3, 7]] + [[1, 2, 4, 7, 6]] * 30, 1 << 14
+    yield 7, [(G, S, [range(8), [0, 1, 2, 3, 7]] + [[1, 2, 4, 7, 6]] * 30)], 1 << 14
     G = make_group([6, 4])
     S = make_generating_set(G, [1, 3, 4, 20, 5, 23])
-    U = rng.sample(range(24), 13)
-    yield G, S, [U] * 200, 1 << 18
+    yield S.d, [(G, S, [rng.sample(range(24), 13)] * 200)], 1 << 18
     G = make_group([997])
     S = make_generating_set(G, [3, 994])
-    yield G, S, [rng.sample(range(997), 499 + 50 * i) for i in range(10)] + [range(997)], 1 << 12
+    subsets = [rng.sample(range(997), 499 + 50 * i) for i in range(10)] + [range(997)]
+    yield 1, [(G, S, subsets)], 1 << 12
 
 
 def test_certificate_kernel_matches_one_subset_at_a_time():
-    # every row of a batch gets the whole report that abelian_witness gives
-    # its subset alone, and that the tabulated lift gives
-    import cayleydeg.witness as witness
+    # every row of a batch gets what the kernel gives its subset alone,
+    # which is abelian_witness, and that matches the tabulated lift
+    shapes = set()
+    for d, keys, cap in _kernel_batches():
+        got = witness._certify(d, *_batch(keys))
+        r = 0
+        for G, S, subsets in keys:
+            for U in subsets:
+                alone = witness._certify(d, *_batch([(G, S, [U])]))
+                assert all(np.array_equal(a[r], b[0]) for a, b in zip(got, alone)), (G.name, S, r)
+                u, k, nbrs, has, *_ = (a[r] for a in got)
+                rep = abelian_witness(G, S, U)
+                assert (rep.vertex, rep.k, rep.neighbors) == (u, k, tuple(nbrs[has]))
+                if r % 7 == 0:
+                    assert rep.to_json() == _lifted_witness(G, S, U, cap).to_json()
+                r += 1
+            shapes.add((d, G.moduli, math.lcm(*G.moduli), len(subsets)))
+        assert r == len(got[0])
+    # one d holds presentations of more than one m, and of more than one
+    # rank from d = 2 on (a rank-r basis takes r directions), and keys of
+    # one subset and of hundreds are there
+    for d in (1, 2, 3, 4):
+        mixed = {(len(moduli), m) for dd, moduli, m, _ in shapes if dd == d}
+        assert len({m for _, m in mixed}) > 1, d
+        assert len({rank for rank, _ in mixed}) > (d > 1), d
+    assert {1, 300} <= {count for *_, count in shapes}
 
-    sizes = []
-    for G, S, subsets, cap in _kernel_batches():
-        got = witness._certify(G, S, _rows(G.order, subsets))
-        assert got == [abelian_witness(G, S, U) for U in subsets], (G.name, S)
-        for r in range(0, len(subsets), max(1, len(subsets) // 7)):
-            assert got[r].to_json() == _lifted_witness(G, S, subsets[r], cap).to_json()
-        sizes.append(len(subsets))
-    assert min(sizes) == 1 and max(sizes) == 300
+
+def test_witness_suite_lines_do_not_depend_on_the_batch_bound(monkeypatch):
+    # bounds that cut keys across batches, one above every batch, and one
+    # below every group order, where each row is a batch alone
+    want = random_witness_suite(300, seed=3)
+    certify = witness._certify
+    cuts = {}
+    for bound in (1, 64, 1000, 1 << 20):
+        batches = []
+
+        def spy(d, keys, member):
+            batches.append([(G, S) for G, S, _ in keys])
+            return certify(d, keys, member)
+
+        monkeypatch.setattr(witness, "_BATCH_ENTRIES", bound)
+        monkeypatch.setattr(witness, "_certify", spy)
+        assert random_witness_suite(300, seed=3) == want, bound
+        cuts[bound] = sum(map(len, batches)) - len({key for keys in batches for key in keys})
+        assert (len(batches) == 300) == (bound == 1), bound
+    assert cuts[1] > cuts[64] > 0 == cuts[1 << 20]
 
 
-def test_certificate_adjacency_is_checked_on_a_separate_read(monkeypatch):
-    # skew the direction rows to g + s + 2: the cube, the covering identity
-    # and the neighbors all stay consistent with the skewed rows, so only
-    # the adjacency check, which reads u's own translations, can see it
-    import cayleydeg.witness as witness
+def test_a_full_batch_holds_a_few_arrays_of_its_entries():
+    # z8x8x8 with d = 3 fills the batch bound with 8 rows of 512 entries;
+    # the kernel holds the direction rows of the disjoint union, its
+    # listing and the rows' offsets in int64, and the cover counts in
+    # int32: under 8 (d + 5) bytes an entry
+    G = make_group([8, 8, 8])
+    S = make_generating_set(G, [1, 7, 8, 56, 64, 448])
+    assert S.d == 3
+    rng = random.Random("full batch")
+    count = witness._BATCH_ENTRIES // G.order
+    subsets = [rng.sample(range(512), rng.randint(257, 512)) for _ in range(count)]
+    keys, member = _batch([(G, S, subsets)])
+    assert member.size == witness._BATCH_ENTRIES
+    witness._certify(3, keys, member)
+    tracemalloc.start()
+    try:
+        u, k, *_ = witness._certify(3, keys, member)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (3 + 5) * witness._BATCH_ENTRIES
+    assert [(int(v), int(deg)) for v, deg in zip(u, k)] == [
+        (rep.vertex, rep.k) for rep in (abelian_witness(G, S, U) for U in subsets)
+    ]
 
-    G = make_group([15])
-    S = make_generating_set(G, [1, 14])
+
+def _skew_directions(monkeypatch, G, S):
+    """Skew the direction rows of (G, S) to g + s + 2."""
     translations = FiniteGroup.translations
 
     def skewed(self, elems):
         rows = translations(self, elems)
-        if isinstance(elems, tuple) and elems == S.images():
+        if self is G and isinstance(elems, tuple) and elems == S.images():
             return (rows + 2) % self.order
         return rows
 
     monkeypatch.setattr(FiniteGroup, "translations", skewed)
-    with pytest.raises(InvariantBreach, match="^witness verification failed: adjacency$"):
-        witness._certify(G, S, _rows(15, [range(8), range(3, 12)]))
+
+
+def test_certificate_adjacency_is_checked_on_a_separate_read(monkeypatch):
+    # the skewed rows keep the cube, the covering identity and the
+    # neighbors consistent, so only the adjacency check, which reads u's
+    # own translations, can see it: alone, and mid-batch among good keys
+    G = make_group([15])
+    S = make_generating_set(G, [1, 14])
+    bad = (G, S, [range(8), range(3, 12)])
+    good = []
+    for moduli, gens, subsets in [([7], [1, 6], [range(4), range(7)]), ([4], [1, 3], [range(3)]),
+                                  ([9], [2, 7], [range(1, 9)])]:
+        H = make_group(moduli)
+        good.append((H, make_generating_set(H, gens), subsets))
+    assert {T.d for _, T, _ in good} == {1}
+    _skew_directions(monkeypatch, G, S)
+    for keys in ([bad], good[:2] + [bad] + good[2:]):
+        with pytest.raises(InvariantBreach, match="^witness verification failed: adjacency$"):
+            witness._certify(1, *_batch(keys))
+    # the good keys pass without the bad one
+    witness._certify(1, *_batch(good))
 
 
 def test_certificate_kernel_refuses_any_minority_row():
-    import cayleydeg.witness as witness
-
     G = make_group([6, 2])
     S = make_generating_set(G, [2, 10, 1, 6])
-    ind = _rows(12, [range(7), range(12), range(6), range(5)])
-    with pytest.raises(ValueError, match="^subset has 6 of 12 vertices; a strict majority is required$"):
-        witness._certify(G, S, ind)
+    bad = (G, S, [range(7), range(12), range(6), range(5)])
+    H = make_group([2, 2, 2])
+    K = make_group([4, 4])
+    good = [(H, make_generating_set(H, [1, 2, 4]), [range(5), range(8)]),
+            (K, make_generating_set(K, [1, 3, 4, 12, 8]), [range(9)])]
+    assert S.d == 3 and {T.d for _, T, _ in good} == {3}
+    for keys in ([bad], good[:1] + [bad] + good[1:]):
+        with pytest.raises(ValueError, match="^subset has 6 of 12 vertices; a strict majority is required$"):
+            witness._certify(3, *_batch(keys))
 
 
 def test_abelian_witness_work_does_not_grow_with_the_lift():
